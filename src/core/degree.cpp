@@ -1,9 +1,9 @@
 #include "core/degree.hpp"
 
 #include <algorithm>
-#include <functional>
 
 #include "common/error.hpp"
+#include "runtime/scheduler.hpp"
 #include "runtime/shard.hpp"
 
 namespace pima::core {
@@ -166,136 +166,88 @@ std::vector<std::uint32_t> pim_column_sums(
   return sums;
 }
 
-namespace {
+std::vector<BitVector> DegreeKernel::rows(std::size_t width) const {
+  if (!transposed) return block_adjacency_rows(*block, row_count, width);
+  EdgeBlock t;
+  t.source_interval = block->dest_interval;
+  t.dest_interval = block->source_interval;
+  t.edges.reserve(block->edges.size());
+  for (const auto& e : block->edges)
+    t.edges.push_back({e.to, e.from, e.multiplicity});
+  return block_adjacency_rows(t, row_count, width);
+}
 
-// Shared body of the device- and pool-backed entry points: `resolve` maps
-// a logical flat index to its sub-array, `dispatch` routes a block kernel
-// to the owner (or runs it inline), `barrier` drains the runtime.
-DegreeResult pim_degrees_impl(
-    const dram::Geometry& geometry, const assembly::DeBruijnGraph& g,
-    const GraphPartition& partition,
-    const std::function<dram::Subarray&(std::size_t)>& resolve,
-    const std::function<void(std::size_t, runtime::Task)>& dispatch,
-    const std::function<void()>& barrier) {
+std::vector<DegreeKernel> degree_kernels(const dram::Geometry& geometry,
+                                         const GraphPartition& partition) {
   const auto width = geometry.columns;
   const auto total = geometry.total_subarrays();
-  DegreeResult result;
-  result.in_degree.assign(g.node_count(), 0);
-  result.out_degree.assign(g.node_count(), 0);
-
-  // Each block produces its partial column sums into its own slot; the
-  // controller accumulates them in block order after the barrier so the
-  // result is independent of channel interleaving.
   const auto m = partition.intervals;
-  std::vector<std::vector<std::uint32_t>> in_sums(
-      static_cast<std::size_t>(m) * m);
-  std::vector<std::vector<std::uint32_t>> out_sums(
-      static_cast<std::size_t>(m) * m);
-
+  std::vector<DegreeKernel> kernels;
   for (std::uint32_t i = 0; i < m; ++i) {
     for (std::uint32_t j = 0; j < m; ++j) {
       const EdgeBlock& block = partition.block(i, j);
       if (block.edges.empty()) continue;
-      const auto& src_vertices = partition.interval_vertices[i];
-      const auto& dst_vertices = partition.interval_vertices[j];
-      PIMA_CHECK(dst_vertices.size() <= width,
+      const auto src_count = partition.interval_vertices[i].size();
+      const auto dst_count = partition.interval_vertices[j].size();
+      PIMA_CHECK(dst_count <= width,
                  "interval too wide for one sub-array row — increase M");
-      PIMA_CHECK(src_vertices.size() <= width,
+      PIMA_CHECK(src_count <= width,
                  "interval too wide for one sub-array row — increase M");
-      const std::size_t block_index = static_cast<std::size_t>(i) * m + j;
-
-      // In-degrees: column sums of the block's adjacency rows.
-      {
-        const std::size_t flat = runtime::block_subarray(total, i, j, m);
-        dispatch(flat, [&resolve, &block, &src_vertices, flat, width,
-                        sums = &in_sums[block_index]] {
-          const auto rows =
-              block_adjacency_rows(block, src_vertices.size(), width);
-          *sums = pim_column_sums(resolve(flat), rows);
-        });
-      }
-
-      // Out-degrees: column sums of the transposed block.
-      {
-        const std::size_t flat = runtime::block_subarray(
-            total, j, i, m, static_cast<std::size_t>(m) * m);
-        dispatch(flat, [&resolve, &block, i, j, &dst_vertices, flat, width,
-                        sums = &out_sums[block_index]] {
-          EdgeBlock transposed;
-          transposed.source_interval = j;
-          transposed.dest_interval = i;
-          transposed.edges.reserve(block.edges.size());
-          for (const auto& e : block.edges)
-            transposed.edges.push_back({e.to, e.from, e.multiplicity});
-          const auto rows =
-              block_adjacency_rows(transposed, dst_vertices.size(), width);
-          *sums = pim_column_sums(resolve(flat), rows);
-        });
-      }
+      kernels.push_back(
+          {runtime::block_subarray(total, i, j, m), &block, false, src_count});
+      kernels.push_back({runtime::block_subarray(
+                             total, j, i, m, static_cast<std::size_t>(m) * m),
+                         &block, true, dst_count});
     }
   }
-  barrier();
-
-  for (std::uint32_t i = 0; i < m; ++i) {
-    for (std::uint32_t j = 0; j < m; ++j) {
-      const std::size_t block_index = static_cast<std::size_t>(i) * m + j;
-      const auto& src_vertices = partition.interval_vertices[i];
-      const auto& dst_vertices = partition.interval_vertices[j];
-      if (!in_sums[block_index].empty()) {
-        const auto& sums = in_sums[block_index];
-        for (std::size_t c = 0; c < dst_vertices.size(); ++c)
-          result.in_degree[dst_vertices[c]] += sums[c];
-      }
-      if (!out_sums[block_index].empty()) {
-        const auto& sums = out_sums[block_index];
-        for (std::size_t c = 0; c < src_vertices.size(); ++c)
-          result.out_degree[src_vertices[c]] += sums[c];
-      }
-    }
-  }
-  return result;
-}
-
-}  // namespace
-
-DegreeResult pim_degrees(dram::Device& device,
-                         const assembly::DeBruijnGraph& g,
-                         const GraphPartition& partition,
-                         runtime::Engine* engine) {
-  return pim_degrees_impl(
-      device.geometry(), g, partition,
-      [&device](std::size_t flat) -> dram::Subarray& {
-        return device.subarray(flat);
-      },
-      [&](std::size_t flat, runtime::Task task) {
-        if (engine)
-          engine->submit_to_subarray(flat, std::move(task));
-        else
-          task();
-      },
-      [&] {
-        if (engine) engine->drain();
-      });
+  return kernels;
 }
 
 DegreeResult pim_degrees(runtime::DevicePool& pool,
                          const assembly::DeBruijnGraph& g,
                          const GraphPartition& partition,
                          runtime::PoolRunner* runner) {
-  return pim_degrees_impl(
-      pool.geometry(), g, partition,
-      [&pool](std::size_t flat) -> dram::Subarray& {
-        return pool.subarray(flat);
-      },
-      [&](std::size_t flat, runtime::Task task) {
-        if (runner)
-          runner->submit_to_subarray(flat, std::move(task));
-        else
-          task();
-      },
-      [&] {
-        if (runner) runner->drain();
-      });
+  const std::size_t width = pool.geometry().columns;
+  const auto kernels = degree_kernels(pool.geometry(), partition);
+  // Each kernel sums into its own slot; the controller accumulates them in
+  // walk order after the barrier, independent of channel interleaving.
+  std::vector<std::vector<std::uint32_t>> sums(kernels.size());
+  const auto dispatch = [&] {
+    for (std::size_t n = 0; n < kernels.size(); ++n) {
+      const DegreeKernel& kernel = kernels[n];
+      auto task = [&pool, &kernel, width, out = &sums[n]] {
+        *out =
+            pim_column_sums(pool.subarray(kernel.flat), kernel.rows(width));
+      };
+      if (runner)
+        runner->submit_to_subarray(kernel.flat, std::move(task));
+      else
+        task();
+    }
+  };
+  if (runner) {
+    // Queued kernels reference `kernels` and `sums`: a failed submit
+    // stops them before these locals unwind.
+    runtime::submit_or_surface(*runner, dispatch);
+    runner->drain();
+  } else {
+    dispatch();
+  }
+
+  DegreeResult result;
+  result.in_degree.assign(g.node_count(), 0);
+  result.out_degree.assign(g.node_count(), 0);
+  for (std::size_t n = 0; n < kernels.size(); ++n) {
+    const DegreeKernel& kernel = kernels[n];
+    // Columns are the vertices of the kernel's column interval.
+    const auto& columns = partition.interval_vertices
+        [kernel.transposed ? kernel.block->source_interval
+                           : kernel.block->dest_interval];
+    auto& degree = kernel.transposed ? result.out_degree : result.in_degree;
+    for (std::size_t c = 0; c < columns.size(); ++c)
+      degree[columns[c]] += sums[n][c];
+  }
+  return result;
 }
 
 }  // namespace pima::core

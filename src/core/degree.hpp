@@ -16,7 +16,6 @@
 #include "core/graph_map.hpp"
 #include "dram/device.hpp"
 #include "dram/subarray.hpp"
-#include "runtime/engine.hpp"
 
 namespace pima::runtime {
 class DevicePool;   // runtime/shard.hpp
@@ -32,29 +31,40 @@ namespace pima::core {
 std::vector<std::uint32_t> pim_column_sums(dram::Subarray& sa,
                                            const std::vector<BitVector>& rows);
 
-/// Degrees of every vertex of `g`, computed block-by-block on `device`
-/// (block (i,j) of the partition runs on its own sub-array; per-vertex
-/// partial degrees from the M blocks of a row/column are accumulated by
-/// the controller).
+/// Degrees of every vertex of `g`, computed block by block (block (i,j)
+/// of the partition runs on its own sub-array; per-vertex partial degrees
+/// from the M blocks of a row/column are accumulated by the controller).
 struct DegreeResult {
   std::vector<std::uint32_t> in_degree;
   std::vector<std::uint32_t> out_degree;
 };
 
-/// With an engine, each block's column-sum kernels are dispatched to the
-/// channel owning the block's sub-array and run concurrently; per-vertex
-/// partial degrees are accumulated by the controller in block order after
-/// the barrier, so the result (and every CommandStats) is bit-identical to
-/// the serial path. `engine == nullptr` runs the blocks inline.
-DegreeResult pim_degrees(dram::Device& device,
-                         const assembly::DeBruijnGraph& g,
-                         const GraphPartition& partition,
-                         runtime::Engine* engine = nullptr);
+/// One column-sum kernel of the block walk: the adjacency rows of block
+/// (i, j) — sums are in-degrees of interval j — or of its transpose — sums
+/// are out-degrees of interval i — on the sub-array the scheduler places
+/// it at.
+struct DegreeKernel {
+  std::size_t flat = 0;  ///< sub-array the kernel runs on
+  const EdgeBlock* block = nullptr;
+  bool transposed = false;
+  std::size_t row_count = 0;  ///< vertices of the row interval
 
-/// Pool-backed variant: block sub-arrays resolve through the pool's owner
-/// routing and kernels dispatch through the pool runner (one engine per
-/// device), so the M² edge blocks spread over every device. Accumulation
-/// stays in block order — results are bit-identical for any device count.
+  /// The kernel's input rows (built on demand, so an engine task can
+  /// build them on its channel).
+  std::vector<BitVector> rows(std::size_t width) const;
+};
+
+/// The block walk in issue order: every non-empty block in row-major
+/// order, its in-degree kernel then its out-degree kernel. Throws when an
+/// interval is wider than a sub-array row.
+std::vector<DegreeKernel> degree_kernels(const dram::Geometry& geometry,
+                                         const GraphPartition& partition);
+
+/// Runs every kernel of degree_kernels() on the pool: sub-arrays resolve
+/// through the pool's owner routing, and with a runner each kernel is
+/// dispatched to the channel owning its sub-array (inline otherwise). Sums
+/// are accumulated in walk order after the barrier, so the result and
+/// every CommandStats are bit-identical for any device or channel count.
 DegreeResult pim_degrees(runtime::DevicePool& pool,
                          const assembly::DeBruijnGraph& g,
                          const GraphPartition& partition,

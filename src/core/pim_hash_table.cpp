@@ -93,8 +93,9 @@ std::size_t PimHashTable::capacity() const {
   return shards_.size() * layout_.kmer_rows;
 }
 
-std::size_t PimHashTable::shard_for(const assembly::Kmer& kmer) const {
-  return static_cast<std::size_t>(kmer.hash() % shards_.size());
+std::size_t PimHashTable::shard_of(const assembly::Kmer& kmer,
+                                  std::size_t shards) {
+  return static_cast<std::size_t>(kmer.hash() % shards);
 }
 
 std::size_t PimHashTable::shard_subarray_flat(std::size_t shard) const {

@@ -95,8 +95,12 @@ class PimHashTable {
   std::size_t shard_count() const { return shards_.size(); }
   const ShardLayout& layout() const { return layout_; }
 
-  /// Shard a k-mer routes to (the hash router the controller uses).
-  std::size_t shard_for(const assembly::Kmer& kmer) const;
+  /// Shard a k-mer routes to in a table of `shards` shards (the hash
+  /// router the controller uses).
+  static std::size_t shard_of(const assembly::Kmer& kmer, std::size_t shards);
+  std::size_t shard_for(const assembly::Kmer& kmer) const {
+    return shard_of(kmer, shards_.size());
+  }
   /// Flat device index of a shard's sub-array — what the runtime uses to
   /// route inserts to the channel owning the shard.
   std::size_t shard_subarray_flat(std::size_t shard) const;
@@ -105,9 +109,9 @@ class PimHashTable {
   /// deterministic (shard, slot) order. Costed as row reads.
   std::vector<std::pair<assembly::Kmer, std::uint32_t>> extract();
 
-  /// One shard's entries in slot order — the per-owner stream the sharded
-  /// pipeline feeds through its stage-boundary Exchange (k-mer count
-  /// shuffle). extract() is exactly the shard-order concatenation.
+  /// One shard's entries in slot order — what the shard's owner hands the
+  /// controller in the k-mer count shuffle. extract() is exactly the
+  /// shard-order concatenation.
   std::vector<std::pair<assembly::Kmer, std::uint32_t>> extract_shard(
       std::size_t shard);
 

@@ -3,16 +3,16 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "core/degree.hpp"
 #include "core/graph_map.hpp"
 #include "core/pipeline_detail.hpp"
+#include "core/shard_backend.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/procpool.hpp"
-#include "runtime/shard.hpp"
 #include "runtime/stats.hpp"
 #include "telemetry/log.hpp"
 #include "telemetry/progress.hpp"
@@ -80,27 +80,20 @@ using detail::make_fingerprint;
 using detail::partition_fitting;
 
 // Batched k-mer submission: the controller routes every k-mer of the read
-// stream to the (device, channel) owning its hash shard and flushes
-// per-slot batches through the bounded queues (backpressure throttles the
-// controller when the channel executors fall behind). Per-shard insert
+// stream to the (device, channel) slot owning its hash shard and flushes
+// per-slot batches (in-process, the bounded queues' backpressure throttles
+// the controller when the channel executors fall behind). Per-shard insert
 // order equals read-stream order for any device and channel count — this
 // is the sharded pipeline's k-mer count shuffle, done at submission time.
-void submit_kmer_stream(runtime::PoolRunner& runner, PimHashTable& table,
+void submit_kmer_stream(ShardBackend& backend,
                         const std::vector<dna::Sequence>& reads,
                         std::size_t k, const runtime::CancelToken* cancel) {
   constexpr std::size_t kKmerBatch = 128;
-  // One pending batch per (device, channel) slot, devices-major.
-  std::vector<std::size_t> slot_base(runner.devices() + 1, 0);
-  for (std::size_t d = 0; d < runner.devices(); ++d)
-    slot_base[d + 1] = slot_base[d] + runner.engine(d).channels();
-  std::vector<std::vector<assembly::Kmer>> pending(slot_base.back());
-  auto flush = [&](std::size_t device, std::size_t channel) {
-    auto& batch = pending[slot_base[device] + channel];
+  std::vector<std::vector<assembly::Kmer>> pending(backend.kmer_slots());
+  auto flush = [&](std::size_t slot) {
+    auto& batch = pending[slot];
     if (batch.empty()) return;
-    runner.engine(device).submit(
-        channel, [&table, batch = std::move(batch)] {
-          for (const auto& km : batch) table.insert_or_increment(km);
-        });
+    backend.submit_kmers(slot, std::move(batch));
     batch = {};
     batch.reserve(kKmerBatch);
   };
@@ -126,13 +119,9 @@ void submit_kmer_stream(runtime::PoolRunner& runner, PimHashTable& table,
     }
     assembly::Kmer window = assembly::Kmer::from_sequence(read, 0, k);
     for (std::size_t i = 0;; ++i) {
-      const std::size_t flat =
-          table.shard_subarray_flat(table.shard_for(window));
-      const std::size_t device = runner.owner_of(flat);
-      const std::size_t channel = runner.engine(device).channel_of(flat);
-      auto& batch = pending[slot_base[device] + channel];
-      batch.push_back(window);
-      if (batch.size() >= kKmerBatch) flush(device, channel);
+      const std::size_t slot = backend.kmer_slot(window);
+      pending[slot].push_back(window);
+      if (pending[slot].size() >= kKmerBatch) flush(slot);
       if (i + k >= read.size()) break;
       window = window.rolled(read.at(i + k));
     }
@@ -141,43 +130,49 @@ void submit_kmer_stream(runtime::PoolRunner& runner, PimHashTable& table,
       kmers_ctr->add(static_cast<double>(read.size() - k + 1));
     }
   }
-  for (std::size_t d = 0; d < runner.devices(); ++d)
-    for (std::size_t c = 0; c < runner.engine(d).channels(); ++c) flush(d, c);
-  runner.drain();
+  for (std::size_t slot = 0; slot < pending.size(); ++slot) flush(slot);
+  backend.drain();
 }
 
-}  // namespace
-
-PipelineResult run_pipeline(dram::Device& device,
-                            const std::vector<dna::Sequence>& reads,
-                            const PipelineOptions& options) {
-  PIMA_CHECK(options.devices >= 1, "need at least one device");
-  if (options.isolate) {
-    try {
-      return detail::run_pipeline_isolated(device, reads, options);
-    } catch (const runtime::ProcPoolDegradedError& e) {
-      if (!options.isolate_opts.allow_degrade)
-        throw WorkerCrashedError(e.device(),
-                                 runtime::to_string(e.exit_class()),
-                                 e.detail());
-      // Typed, logged transition: same run, same outputs, one address
-      // space. The device is untouched so far — every isolated-run write
-      // happened inside the (now dead) workers.
-      telemetry::log_event(
-          telemetry::LogLevel::kWarn, "pool.fallback",
-          std::string("process isolation degraded — ") + e.what() +
-              "; rerunning on the in-process device pool",
-          {telemetry::LogField::uint("device", e.device()),
-           telemetry::LogField::str("class",
-                                    runtime::to_string(e.exit_class()))});
-    }
+// Streams a stage's instructions to the backend in bounded slices:
+// in-flight memory stays constant and (in-process) the queues'
+// backpressure paces the controller.
+class SlicedProgram {
+ public:
+  SlicedProgram(ShardBackend& backend, const runtime::CancelToken* cancel)
+      : backend_(backend), cancel_(cancel) {
+    program_.reserve(kSlice);
   }
+
+  void push(dram::Instruction inst) {
+    program_.push_back(std::move(inst));
+    if (program_.size() < kSlice) return;
+    if (cancel_ != nullptr) cancel_->throw_if_requested();
+    backend_.submit_program(std::move(program_));
+    program_ = {};
+    program_.reserve(kSlice);
+  }
+
+  /// Submits the last slice and drains.
+  void finish() {
+    backend_.submit_program(std::move(program_));
+    program_ = {};
+    backend_.drain();
+  }
+
+ private:
+  static constexpr std::size_t kSlice = 8192;
+  ShardBackend& backend_;
+  const runtime::CancelToken* cancel_;
+  dram::Program program_;
+};
+
+// The Fig.-5 controller: one body for both backends.
+PipelineResult run_stages(dram::Device& device,
+                          const std::vector<dna::Sequence>& reads,
+                          const PipelineOptions& options, bool isolated) {
   PipelineResult result;
-  // Shard plan: the caller's device is shard 0; the pool owns the rest for
-  // the duration of the run. With devices == 1 every pool call collapses
-  // to the classic single-device path (same folds, same engine).
-  runtime::DevicePool pool(device, options.devices);
-  pool.clear_stats();
+  const dram::Geometry& geometry = device.geometry();
 
   PIMA_TEL_NAME_TRACK(runtime::Engine::kMainTrack, "main");
   PIMA_TEL_SET_THREAD_TRACK(runtime::Engine::kMainTrack);
@@ -212,7 +207,7 @@ PipelineResult run_pipeline(dram::Device& device,
                labels)
         .set(static_cast<double>(st.subarrays_used));
     telemetry::add_breakdown_metrics(
-        registry, dram::breakdown_from_stats(cmds, device.geometry().columns,
+        registry, dram::breakdown_from_stats(cmds, geometry.columns,
                                              device.technology()));
   };
   std::unique_ptr<telemetry::ProgressReporter> progress;
@@ -222,28 +217,10 @@ PipelineResult run_pipeline(dram::Device& device,
         telemetry::ProgressReporter::Options{options.progress_interval_s,
                                              nullptr});
 
-  runtime::EngineOptions engine_options;
-  engine_options.channels = options.threads;
-  engine_options.queue_capacity = options.queue_capacity;
-  engine_options.capture_trace = options.capture_trace;
-  engine_options.stall_timeout_ms = options.stall_timeout_ms;
-  runtime::PoolRunner runner(pool, engine_options);
-
-  // Fault-aware execution: attach the Table-I-calibrated fault model to
-  // every pool device and route the table's critical probes through the
-  // recovery layer. When faults are off and recovery is kOff (the
-  // default), nothing here runs and the pipeline is bit-identical to the
-  // unfaulted build.
-  pool.enable_faults(options.fault);
-  std::unique_ptr<runtime::RecoveryManager> recovery;
-  if (options.fault.enabled() ||
-      options.recovery.mode != runtime::RecoveryMode::kOff)
-    recovery =
-        std::make_unique<runtime::RecoveryManager>(pool, options.recovery);
-
-  // ---- Checkpoint/resume plumbing ----
+  // ---- Checkpoint/resume plumbing (one snapshot format for both
+  // backends, so a run cut under one resumes under the other) ----
   const runtime::CheckpointFingerprint fingerprint =
-      make_fingerprint(device.geometry(), options);
+      make_fingerprint(geometry, options);
   const std::string ckpt_path = options.checkpoint_dir.empty()
                                     ? std::string{}
                                     : options.checkpoint_dir + "/pipeline.ckpt";
@@ -266,13 +243,23 @@ PipelineResult run_pipeline(dram::Device& device,
       resume_stage = snap.stages_done;
     }
   }
+
+  const std::unique_ptr<ShardBackend> backend =
+      isolated ? make_isolated_backend(device, options, fingerprint,
+                                       resume_stage)
+               : make_in_process_backend(device, options);
+
   // Fault/recovery counters accumulated before the interruption; this
-  // process's RecoveryManager adds its own deltas on top.
+  // process's backend adds its own on top.
   const runtime::FaultStats base_fault = snap.fault_stats;
-  const auto fault_now = [&] {
-    return recovery ? base_fault + recovery->roll_up() : base_fault;
+  const auto fault_now = [&] { return base_fault + backend->fault_stats(); };
+  const auto fold_stage = [&](const char* stage) -> StageStats {
+    const StageRollUp r = backend->take_stage_stats();
+    export_stage(stage, r.device, r.commands);
+    return {r.device, stage};
   };
-  const auto write_checkpoint = [&](std::uint32_t stage) {
+  const auto commit_stage = [&](std::uint32_t stage) {
+    backend->mark_stage_done(stage);
     if (ckpt_path.empty()) return;
     snap.stages_done = stage;
     snap.fault_stats = fault_now();
@@ -293,49 +280,21 @@ PipelineResult run_pipeline(dram::Device& device,
   } else {
     PIMA_TEL_SPAN("stage:hashmap");
     if (options.cancel != nullptr) options.cancel->throw_if_requested();
-    PimHashTable table(pool, options.hash_shards);
-    table.bind_key_length(options.k);
-    table.attach_recovery(recovery.get());
-    try {
-      submit_kmer_stream(runner, table, reads, options.k, options.cancel);
-      if (pool.plan().sharded()) {
-        // K-mer count shuffle: each owner streams its shards to the
-        // controller through the stage-boundary exchange, merged by shard
-        // index — the same (shard, slot) order extract() produces on one
-        // device.
-        runtime::Exchange<std::pair<assembly::Kmer, std::uint32_t>>
-            shuffle(pool.size());
-        for (std::size_t s = 0; s < table.shard_count(); ++s) {
-          const std::size_t owner =
-              pool.owner_of(table.shard_subarray_flat(s));
-          for (auto& entry : table.extract_shard(s))
-            shuffle.push(owner, 0, s, std::move(entry));
-        }
-        entries = shuffle.gather(0);
-      } else {
-        entries = table.extract();
-      }
-    } catch (const SimulationError&) {
-      // In-flight insert tasks reference `table`; stop the channels before
-      // the unwind destroys it (a failed shard otherwise races workers
-      // against the destructor — use-after-free). Then drain to surface
-      // the root task failure (e.g. "hash shard full") instead of the
-      // fail-fast submit refusal that unwound us here.
-      runner.quiesce();
-      runner.drain();
-      throw;
-    } catch (...) {
-      runner.quiesce();  // same race on the cancel path
-      throw;
+    submit_kmer_stream(*backend, reads, options.k, options.cancel);
+    // K-mer count shuffle: each shard has one owner, so the merged table
+    // is the shards concatenated in shard order — the (shard, slot) order
+    // PimHashTable::extract() produces on one device.
+    for (std::size_t s = 0; s < options.hash_shards; ++s) {
+      auto part = backend->extract_shard(s);
+      entries.insert(entries.end(), std::make_move_iterator(part.begin()),
+                     std::make_move_iterator(part.end()));
     }
-    result.distinct_kmers = table.distinct_kmers();
-    result.hashmap = {pool.roll_up(), "hashmap"};
-    export_stage("hashmap", result.hashmap.device, pool.command_roll_up());
-    pool.clear_stats();
+    result.distinct_kmers = backend->distinct_kmers();
+    result.hashmap = fold_stage("hashmap");
     snap.distinct_kmers = result.distinct_kmers;
     snap.kmer_entries = entries;
     snap.hashmap = result.hashmap.device;
-    write_checkpoint(1);
+    commit_stage(1);
   }
 
   // ---- Stage 2a: de Bruijn construction (DeBruijn(Hashmap, k)) ----
@@ -361,14 +320,10 @@ PipelineResult run_pipeline(dram::Device& device,
     const std::size_t graph_base = options.hash_shards;
     const std::size_t graph_arrays = std::max<std::size_t>(
         1, std::min(options.hash_shards,
-                    pool.total_subarrays() - graph_base));
-    const std::size_t data_rows = pool.geometry().data_rows();
-    const BitVector row_image(pool.geometry().columns);
-    // Submitted in bounded slices: in-flight memory stays constant and the
-    // queues' backpressure paces the controller.
-    constexpr std::size_t kProgramSlice = 8192;
-    dram::Program inserts;
-    inserts.reserve(kProgramSlice);
+                    geometry.total_subarrays() - graph_base));
+    const std::size_t data_rows = geometry.data_rows();
+    const BitVector row_image(geometry.columns);
+    SlicedProgram inserts(*backend, options.cancel);
     std::size_t rr = 0;
     auto mem_insert = [&] {
       dram::Instruction inst;
@@ -377,30 +332,21 @@ PipelineResult run_pipeline(dram::Device& device,
       // Adjacency/edge-list rows are appended cyclically over data rows.
       inst.src1 = (rr / graph_arrays) % data_rows;
       inst.payload = row_image;
-      inserts.push_back(std::move(inst));
-      if (inserts.size() >= kProgramSlice) {
-        if (options.cancel != nullptr) options.cancel->throw_if_requested();
-        runner.submit_program(std::move(inserts));
-        inserts = {};
-        inserts.reserve(kProgramSlice);
-      }
+      inserts.push(std::move(inst));
     };
     for (std::size_t e = 0; e < graph.edge_count(); ++e) {
       mem_insert();  // node 1 (prefix) insert
       mem_insert();  // node 2 (suffix) insert
       mem_insert();  // edge-list insert
     }
-    runner.submit_program(std::move(inserts));
-    runner.drain();
-    result.debruijn = {pool.roll_up(), "debruijn"};
-    export_stage("debruijn", result.debruijn.device, pool.command_roll_up());
-    pool.clear_stats();
+    inserts.finish();
+    result.debruijn = fold_stage("debruijn");
     snap.graph_edges.clear();
     snap.graph_edges.reserve(graph.edge_count());
     for (const auto& e : graph.edges())
       snap.graph_edges.emplace_back(e.kmer, e.multiplicity);
     snap.debruijn = result.debruijn.device;
-    write_checkpoint(2);
+    commit_stage(2);
   }
   const auto& graph = result.graph;
   result.graph_nodes = graph.node_count();
@@ -414,66 +360,40 @@ PipelineResult run_pipeline(dram::Device& device,
     PIMA_TEL_SPAN("stage:traverse");
     if (options.cancel != nullptr) options.cancel->throw_if_requested();
     const GraphPartition partition =
-        partition_fitting(graph, pool.geometry(), options.graph_intervals);
-    const DegreeResult degrees = pim_degrees(pool, graph, partition, &runner);
+        partition_fitting(graph, geometry, options.graph_intervals);
     // The controller uses the PIM-computed degrees to pick Euler start
     // vertices; the walk itself streams edge lookups (one row read each),
-    // batched into per-channel ROW_READ programs.
-    (void)degrees;
-    std::vector<dna::Sequence> walks =
+    // batched into per-channel ROW_READ programs. Contigs stay in walk
+    // order for any device count.
+    backend->run_degree_blocks(graph, partition);
+    result.contigs =
         options.euler_contigs
             ? assembly::contigs_from_euler(graph, options.traversal)
             : assembly::contigs_from_unitigs(graph);
     const std::size_t arrays = std::max<std::size_t>(1, options.hash_shards);
-    if (pool.plan().sharded()) {
-      // Contig hand-off: each walk is attributed to the device owning its
-      // start shard and handed back through the stage-boundary exchange
-      // keyed by walk index, so the final contig order is walk order for
-      // any device count.
-      runtime::Exchange<dna::Sequence> handoff(pool.size());
-      for (std::size_t w = 0; w < walks.size(); ++w) {
-        const std::size_t owner = pool.owner_of(w % arrays);
-        handoff.push(owner, 0, w, std::move(walks[w]));
-      }
-      result.contigs = handoff.gather(0);
-    } else {
-      result.contigs = std::move(walks);
-    }
-    const std::size_t data_rows = pool.geometry().data_rows();
-    constexpr std::size_t kProgramSlice = 8192;
-    dram::Program lookups;
-    lookups.reserve(kProgramSlice);
+    const std::size_t data_rows = geometry.data_rows();
+    SlicedProgram lookups(*backend, options.cancel);
     std::size_t rr = 0;
     for (std::uint64_t e = 0; e < graph.edge_instances(); ++e) {
       dram::Instruction inst;
       inst.op = dram::Opcode::kRowRead;
       inst.subarray = rr++ % arrays;
       inst.src1 = (rr / arrays) % data_rows;
-      lookups.push_back(std::move(inst));
-      if (lookups.size() >= kProgramSlice) {
-        if (options.cancel != nullptr) options.cancel->throw_if_requested();
-        runner.submit_program(std::move(lookups));
-        lookups = {};
-        lookups.reserve(kProgramSlice);
-      }
+      lookups.push(std::move(inst));
     }
-    runner.submit_program(std::move(lookups));
-    runner.drain();
-    result.traverse = {pool.roll_up(), "traverse"};
-    export_stage("traverse", result.traverse.device, pool.command_roll_up());
-    pool.clear_stats();
+    lookups.finish();
+    result.traverse = fold_stage("traverse");
     snap.contigs = result.contigs;
     snap.traverse = result.traverse.device;
-    write_checkpoint(3);
+    commit_stage(3);
   }
 
   result.contig_stats = assembly::compute_stats(result.contigs);
   result.fault_stats = fault_now();
-  if (options.capture_trace) result.trace = pool.captured_program();
+  if (options.capture_trace) result.trace = backend->captured_program();
   if (telemetry::metrics_enabled()) {
     auto& registry = telemetry::metrics();
-    runner.export_metrics(registry);
-    if (recovery) recovery->export_metrics(registry);
+    backend->export_metrics(registry);
     registry
         .gauge("pima_pipeline_distinct_kmers", "distinct k-mers counted")
         .set(static_cast<double>(result.distinct_kmers));
@@ -485,6 +405,43 @@ PipelineResult run_pipeline(dram::Device& device,
         .set(static_cast<double>(result.contigs.size()));
   }
   return result;
+}
+
+}  // namespace
+
+PipelineResult run_pipeline(dram::Device& device,
+                            const std::vector<dna::Sequence>& reads,
+                            const PipelineOptions& options) {
+  PIMA_CHECK(options.devices >= 1, "need at least one device");
+  if (options.isolate) {
+    if (options.fault.enabled() ||
+        options.recovery.mode != runtime::RecoveryMode::kOff)
+      throw SimulationError(
+          "process isolation with fault injection or recovery is "
+          "unsupported: the fault model's per-sub-array RNG streams and the "
+          "recovery layer's probe routing are in-process state the worker "
+          "init request does not carry — run --isolate fault-free, or drop "
+          "--isolate");
+    try {
+      return run_stages(device, reads, options, /*isolated=*/true);
+    } catch (const runtime::ProcPoolDegradedError& e) {
+      if (!options.isolate_opts.allow_degrade)
+        throw WorkerCrashedError(e.device(),
+                                 runtime::to_string(e.exit_class()),
+                                 e.detail());
+      // Typed, logged transition: same run, same outputs, one address
+      // space. The device is untouched so far — every isolated-run write
+      // happened inside the (now dead) workers.
+      telemetry::log_event(
+          telemetry::LogLevel::kWarn, "pool.fallback",
+          std::string("process isolation degraded — ") + e.what() +
+              "; rerunning on the in-process device pool",
+          {telemetry::LogField::uint("device", e.device()),
+           telemetry::LogField::str("class",
+                                    runtime::to_string(e.exit_class()))});
+    }
+  }
+  return run_stages(device, reads, options, /*isolated=*/false);
 }
 
 }  // namespace pima::core

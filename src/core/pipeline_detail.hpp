@@ -1,11 +1,9 @@
-// Shared internals of the two run_pipeline bodies (pipeline.cpp runs the
-// in-process DevicePool, pipeline_isolated.cpp drives pima_devd workers
-// through the process-pool supervisor). Both must agree on the checkpoint
-// fingerprint and the graph partition choice, or a resume could cross the
-// isolation boundary onto an incompatible run.
+// Internals of run_pipeline that code outside the controller also uses
+// (perfbench/driver.cpp): the graph partition choice and the checkpoint
+// fingerprint. The controller computes both the same way whichever shard
+// backend (shard_backend.hpp) runs the stages, which is what lets a resume
+// cross the isolation boundary.
 #pragma once
-
-#include <vector>
 
 #include "core/graph_map.hpp"
 #include "core/pipeline.hpp"
@@ -26,12 +24,5 @@ GraphPartition partition_fitting(const assembly::DeBruijnGraph& g,
 /// which commands run.
 runtime::CheckpointFingerprint make_fingerprint(const dram::Geometry& geom,
                                                 const PipelineOptions& o);
-
-/// The isolated pipeline body: every device shard in its own pima_devd
-/// process. Throws runtime::ProcPoolDegradedError when the restart budget
-/// is exhausted — run_pipeline catches it and degrades (or fails typed).
-PipelineResult run_pipeline_isolated(dram::Device& device,
-                                     const std::vector<dna::Sequence>& reads,
-                                     const PipelineOptions& options);
 
 }  // namespace pima::core::detail

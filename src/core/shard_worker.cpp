@@ -135,6 +135,80 @@ WorkerInit worker_init_from_json(const net::Json& j) {
   return init;
 }
 
+net::Json verb_request(const char* op) {
+  net::Json j = net::Json::object();
+  j.set("op", op);
+  return j;
+}
+
+net::Json kmers_request(std::size_t channel,
+                        const std::vector<assembly::Kmer>& batch) {
+  net::Json req = verb_request("kmers");
+  req.set("channel", static_cast<std::uint64_t>(channel));
+  net::Json arr = net::Json::array();
+  for (const auto& kmer : batch) arr.push_back(net::Json(kmer.packed()));
+  req.set("kmers", std::move(arr));
+  return req;
+}
+
+net::Json extract_request(std::size_t shard) {
+  net::Json req = verb_request("extract");
+  req.set("shard", static_cast<std::uint64_t>(shard));
+  return req;
+}
+
+net::Json program_request(const dram::Program& program) {
+  net::Json req = verb_request("program");
+  req.set("text", dram::to_text(program));
+  return req;
+}
+
+net::Json degree_block_request(std::size_t flat,
+                               const std::vector<BitVector>& rows) {
+  net::Json req = verb_request("degree_block");
+  req.set("flat", static_cast<std::uint64_t>(flat));
+  net::Json arr = net::Json::array();
+  for (const auto& r : rows) arr.push_back(net::Json(r.to_string()));
+  req.set("rows", std::move(arr));
+  return req;
+}
+
+std::vector<std::pair<assembly::Kmer, std::uint32_t>> extract_entries(
+    const net::Json& response, std::size_t k) {
+  std::vector<std::pair<assembly::Kmer, std::uint32_t>> out;
+  for (const auto& pair : response.get("entries").items())
+    out.emplace_back(assembly::Kmer(pair.items()[0].as_uint64(), k),
+                     static_cast<std::uint32_t>(pair.items()[1].as_uint64()));
+  return out;
+}
+
+std::vector<std::pair<std::size_t, dram::CommandStats>> stats_entries(
+    const net::Json& response) {
+  std::vector<std::pair<std::size_t, dram::CommandStats>> out;
+  for (const auto& entry : response.get("subarrays").items()) {
+    dram::CommandStats st;
+    const auto& counts = entry.get("counts").items();
+    for (std::size_t i = 0; i < dram::kCommandKindCount && i < counts.size();
+         ++i)
+      st.counts[i] = static_cast<std::size_t>(counts[i].as_uint64());
+    st.busy_ns = entry.get_number("busy_ns");
+    st.energy_pj = entry.get_number("energy_pj");
+    out.emplace_back(static_cast<std::size_t>(entry.get_uint64("flat")), st);
+  }
+  return out;
+}
+
+std::vector<std::pair<std::size_t, dram::Program>> trace_entries(
+    const net::Json& response) {
+  std::vector<std::pair<std::size_t, dram::Program>> out;
+  for (const auto& entry : response.get("programs").items()) {
+    std::istringstream in(entry.get_string("text"));
+    out.emplace_back(static_cast<std::size_t>(entry.get_uint64("flat")),
+                     dram::parse_program(in));
+  }
+  return out;
+}
+
 ShardWorkerCore::ShardWorkerCore(const net::Json& init)
     : init_(worker_init_from_json(init)),
       device_(init_.geometry, init_.technology) {
@@ -201,20 +275,11 @@ net::Json ShardWorkerCore::op_kmers(const net::Json& req) {
   batch.reserve(req.get("kmers").items().size());
   for (const auto& item : req.get("kmers").items())
     batch.emplace_back(item.as_uint64(), init_.k);
-  try {
+  runtime::submit_or_surface(*engine_, [&] {
     engine_->submit(channel, [this, batch = std::move(batch)] {
       for (const auto& kmer : batch) table_->insert_or_increment(kmer);
     });
-  } catch (const SimulationError&) {
-    // Fail-fast submit after a poisoned channel: surface the root failure
-    // (mirrors the pipeline's stage-1 quiesce-drain-throw discipline).
-    engine_->quiesce();
-    engine_->drain();
-    throw;
-  } catch (...) {
-    engine_->quiesce();
-    throw;
-  }
+  });
   return ok_response();
 }
 
@@ -254,16 +319,8 @@ net::Json ShardWorkerCore::op_program(const net::Json& req) {
     // point of view, not a worker bug.
     bad_request(std::string("unparseable program: ") + e.what());
   }
-  try {
-    engine_->submit_program(std::move(program));
-  } catch (const SimulationError&) {
-    engine_->quiesce();
-    engine_->drain();
-    throw;
-  } catch (...) {
-    engine_->quiesce();
-    throw;
-  }
+  runtime::submit_or_surface(
+      *engine_, [&] { engine_->submit_program(std::move(program)); });
   return ok_response();
 }
 
@@ -277,20 +334,13 @@ net::Json ShardWorkerCore::op_degree_block(const net::Json& req) {
   rows.reserve(req.get("rows").items().size());
   for (const auto& item : req.get("rows").items())
     rows.push_back(BitVector::from_string(item.as_string()));
-  try {
+  runtime::submit_or_surface(*engine_, [&] {
     engine_->submit_to_subarray(flat, [this, flat, rows = std::move(rows)] {
       // Sums are discarded: the pipeline only keeps the device work (the
-      // in-process path discards DegreeResult the same way).
+      // in-process backend discards DegreeResult the same way).
       (void)pim_column_sums(device_.subarray(flat), rows);
     });
-  } catch (const SimulationError&) {
-    engine_->quiesce();
-    engine_->drain();
-    throw;
-  } catch (...) {
-    engine_->quiesce();
-    throw;
-  }
+  });
   return ok_response();
 }
 

@@ -24,6 +24,10 @@
 //   ping          liveness probe
 //   shutdown      graceful exit handshake
 //
+// The controller's side of the table — request encoders and response
+// decoders — lives here too (IsolatedBackend in shard_backend.hpp uses
+// them), so this module owns the whole wire format.
+//
 // Determinism: the device state and statistics after any request sequence
 // are a pure function of that sequence — the engine's per-sub-array
 // ordering contract makes channel count irrelevant — which is what lets
@@ -32,12 +36,16 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "circuit/tech.hpp"
 #include "core/pim_hash_table.hpp"
 #include "dram/device.hpp"
 #include "dram/geometry.hpp"
+#include "dram/isa.hpp"
 #include "net/json.hpp"
 #include "runtime/engine.hpp"
 
@@ -65,6 +73,29 @@ struct WorkerInit {
 net::Json worker_init_to_json(const WorkerInit& init);
 /// Parses an `init` request; throws InputFormatError on malformed fields.
 WorkerInit worker_init_from_json(const net::Json& j);
+
+// ---- Controller side: request encoders ----
+
+/// A request that carries only its verb (drain, distinct, stats, ...).
+net::Json verb_request(const char* op);
+net::Json kmers_request(std::size_t channel,
+                        const std::vector<assembly::Kmer>& batch);
+net::Json extract_request(std::size_t shard);
+net::Json program_request(const dram::Program& program);
+net::Json degree_block_request(std::size_t flat,
+                               const std::vector<BitVector>& rows);
+
+// ---- Controller side: response decoders ----
+
+/// An `extract` response: the shard's (k-mer, frequency) entries.
+std::vector<std::pair<assembly::Kmer, std::uint32_t>> extract_entries(
+    const net::Json& response, std::size_t k);
+/// A `stats` response: (flat, stats) of every touched sub-array.
+std::vector<std::pair<std::size_t, dram::CommandStats>> stats_entries(
+    const net::Json& response);
+/// A `trace` response: (flat, replay program) of every traced sub-array.
+std::vector<std::pair<std::size_t, dram::Program>> trace_entries(
+    const net::Json& response);
 
 class ShardWorkerCore {
  public:

@@ -10,6 +10,15 @@ double DeviceStats::dynamic_power_w() const {
   return power_watts(energy_pj, time_ns);
 }
 
+void DeviceStats::add_subarray(const CommandStats& st) {
+  if (st.total_commands() == 0) return;
+  ++subarrays_used;
+  time_ns = std::max(time_ns, st.busy_ns);
+  serial_ns += st.busy_ns;
+  energy_pj += st.energy_pj;
+  commands += st.total_commands();
+}
+
 DeviceStats& DeviceStats::operator+=(const DeviceStats& o) {
   time_ns += o.time_ns;
   serial_ns += o.serial_ns;
@@ -57,16 +66,8 @@ std::size_t Device::instantiated_count() const {
 
 DeviceStats Device::roll_up() const {
   DeviceStats s{};
-  for (const auto& sa : subarrays_) {
-    if (!sa) continue;
-    const auto& st = sa->stats();
-    if (st.total_commands() == 0) continue;
-    ++s.subarrays_used;
-    s.time_ns = std::max(s.time_ns, st.busy_ns);
-    s.serial_ns += st.busy_ns;
-    s.energy_pj += st.energy_pj;
-    s.commands += st.total_commands();
-  }
+  for (const auto& sa : subarrays_)
+    if (sa) s.add_subarray(sa->stats());
   return s;
 }
 

@@ -29,6 +29,11 @@ struct DeviceStats {
   /// Average dynamic power in watts over the rolled-up interval.
   double dynamic_power_w() const;
 
+  /// Folds one sub-array's stats in — the per-sub-array step of every
+  /// roll-up (sub-arrays run in parallel: time is the max, the rest add).
+  /// Zero-command sub-arrays are the identity.
+  void add_subarray(const CommandStats& st);
+
   /// Serial composition: phases executed back to back. Times and energy
   /// add; the sub-array footprint is the widest phase.
   DeviceStats& operator+=(const DeviceStats& o);

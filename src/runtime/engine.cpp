@@ -16,13 +16,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+}  // namespace
+
 std::size_t resolve_channels(std::size_t requested) {
   if (requested != 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }
-
-}  // namespace
 
 struct Engine::Channel {
   explicit Channel(std::size_t capacity) : queue(capacity) {}

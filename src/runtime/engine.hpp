@@ -38,8 +38,10 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "dram/device.hpp"
 #include "dram/isa.hpp"
 #include "runtime/scheduler.hpp"
@@ -78,6 +80,29 @@ struct EngineOptions {
   /// determinism contract above covers channels == 1 with a worker too).
   bool force_worker = false;
 };
+
+/// The channel count an engine runs for EngineOptions::channels
+/// (0 = one per hardware thread).
+std::size_t resolve_channels(std::size_t requested);
+
+/// Runs `submit` against an Engine or PoolRunner. A SimulationError from
+/// it is a fail-fast refusal after a channel failed: the queued work is
+/// stopped and drained, so the root task failure (e.g. "hash shard full")
+/// surfaces instead. Any other exception stops the queued work before the
+/// caller unwinds the state those tasks reference.
+template <typename Runtime, typename Submit>
+void submit_or_surface(Runtime& runtime, Submit&& submit) {
+  try {
+    std::forward<Submit>(submit)();
+  } catch (const SimulationError&) {
+    runtime.quiesce();
+    runtime.drain();
+    throw;
+  } catch (...) {
+    runtime.quiesce();
+    throw;
+  }
+}
 
 class Engine {
  public:

@@ -33,9 +33,10 @@
 //     DevicePool — a typed, logged transition, bit-identical output.
 //
 // Determinism: a worker's device state is a pure function of its request
-// journal, and all cross-shard data flows through the parent's Exchange
-// folds in logical flat order, so a run with K worker crashes is
-// bit-identical to a crash-free run (and to the in-process run).
+// journal, and the controller (core::IsolatedBackend) merges cross-shard
+// data in plain orders — shard order, program order, logical flat order —
+// so a run with K worker crashes is bit-identical to a crash-free run
+// (and to the in-process run).
 #pragma once
 
 #include <sys/types.h>

@@ -7,6 +7,17 @@
 
 namespace pima::runtime {
 
+std::vector<dram::Program> ShardPlan::split(dram::Program program) const {
+  std::vector<dram::Program> parts(std::max<std::size_t>(devices, 1));
+  if (parts.size() == 1) {
+    parts[0] = std::move(program);
+    return parts;
+  }
+  for (auto& inst : program)
+    parts[owner_of(inst.subarray)].push_back(std::move(inst));
+  return parts;
+}
+
 DevicePool::DevicePool(dram::Device& primary, std::size_t devices)
     : primary_(primary) {
   PIMA_CHECK(devices >= 1, "device pool needs at least one device");
@@ -41,26 +52,10 @@ std::size_t DevicePool::instantiated_count() const {
 dram::DeviceStats DevicePool::roll_up() const {
   dram::DeviceStats s{};
   const std::size_t total = total_subarrays();
-  for (std::size_t flat = 0; flat < total; ++flat) {
-    const dram::Subarray* sa = subarray_if(flat);
-    if (!sa) continue;
-    const auto& st = sa->stats();
-    if (st.total_commands() == 0) continue;
-    ++s.subarrays_used;
-    s.time_ns = std::max(s.time_ns, st.busy_ns);
-    s.serial_ns += st.busy_ns;
-    s.energy_pj += st.energy_pj;
-    s.commands += st.total_commands();
-  }
+  for (std::size_t flat = 0; flat < total; ++flat)
+    if (const dram::Subarray* sa = subarray_if(flat))
+      s.add_subarray(sa->stats());
   return s;
-}
-
-std::vector<dram::DeviceStats> DevicePool::per_device_roll_up() const {
-  std::vector<dram::DeviceStats> out;
-  out.reserve(size());
-  for (std::size_t d = 0; d < size(); ++d)
-    out.push_back(device(d).roll_up());
-  return out;
 }
 
 dram::CommandStats DevicePool::command_roll_up() const {
@@ -119,19 +114,6 @@ void DevicePool::disable_tracing() {
   for (std::size_t d = 0; d < size(); ++d) device(d).disable_tracing();
 }
 
-dram::DeviceStats reduce_devices(
-    const std::vector<dram::DeviceStats>& parts) {
-  dram::DeviceStats total{};
-  for (const auto& p : parts) {
-    total.time_ns = std::max(total.time_ns, p.time_ns);
-    total.serial_ns += p.serial_ns;
-    total.energy_pj += p.energy_pj;
-    total.commands += p.commands;
-    total.subarrays_used += p.subarrays_used;
-  }
-  return total;
-}
-
 PoolRunner::PoolRunner(DevicePool& pool, EngineOptions per_device)
     : pool_(pool) {
   // With more than one device, even a one-channel engine must own a real
@@ -150,21 +132,9 @@ void PoolRunner::submit_to_subarray(std::size_t subarray_flat, Task task) {
 }
 
 void PoolRunner::submit_program(dram::Program program) {
-  if (engines_.size() == 1) {
-    engines_[0]->submit_program(std::move(program));
-    return;
-  }
-  // The controller is the single producer here (src 0); the key is the
-  // global instruction sequence, so each device's gathered sub-stream is
-  // in program order and per-sub-array order matches a single device.
-  Exchange<dram::Instruction> exchange(engines_.size());
-  std::uint64_t seq = 0;
-  for (auto& inst : program)
-    exchange.push(0, pool_.owner_of(inst.subarray), seq++, std::move(inst));
-  for (std::size_t d = 0; d < engines_.size(); ++d) {
-    dram::Program part = exchange.gather(d);
-    if (!part.empty()) engines_[d]->submit_program(std::move(part));
-  }
+  auto parts = pool_.plan().split(std::move(program));
+  for (std::size_t d = 0; d < engines_.size(); ++d)
+    if (!parts[d].empty()) engines_[d]->submit_program(std::move(parts[d]));
 }
 
 void PoolRunner::drain() {

@@ -15,9 +15,10 @@
 //   * Per-sub-array command order is the controller's issue order for any
 //     device count — routing is a pure function of the flat index, and each
 //     per-device Engine preserves per-sub-array FIFO order (engine.hpp).
-//   * Every cross-device hand-off goes through an Exchange: per-(src,dst)
-//     ordered buffers merged by an explicit global key, so the merged order
-//     is a function of the data, never of device count or thread timing.
+//   * Every cross-device hand-off has one plain order that does not depend
+//     on the device count: a program is split by owner in program order
+//     (ShardPlan::split), the k-mer count shuffle concatenates the hash
+//     shards in shard order, and contigs stay in walk order.
 //   * Every stat/metric fold iterates *logical* flat order 0..total-1
 //     across the pool — the identical double-precision fold Device::roll_up
 //     performs — so roll-ups, Prometheus model snapshots and checkpoints
@@ -50,69 +51,11 @@ struct ShardPlan {
     return devices <= 1 ? 0 : flat % devices;
   }
 
+  /// Splits a program by owning device (index = device), each part in
+  /// program order, so per-sub-array order is the single-device order.
+  std::vector<dram::Program> split(dram::Program program) const;
+
   bool operator==(const ShardPlan&) const = default;
-};
-
-/// Deterministic all-to-all hand-off used at every stage boundary that
-/// crosses devices (k-mer count shuffle, edge-block redistribution, contig
-/// hand-off). Producers append to per-(src, dst) buffers — each buffer is
-/// ordered by push order — and gather(dst) merges a destination's buffers
-/// by (key, src, push order). The key is a global sequence number chosen
-/// by the caller (hash-table shard index, instruction sequence, walk
-/// index), so the merged stream is identical for every device count:
-/// with N == 1 it degenerates to plain key order, which is exactly what a
-/// single-device run produces.
-template <typename T>
-class Exchange {
- public:
-  explicit Exchange(std::size_t devices)
-      : devices_(devices == 0 ? 1 : devices),
-        buffers_(devices_ * devices_) {}
-
-  std::size_t devices() const { return devices_; }
-
-  void push(std::size_t src, std::size_t dst, std::uint64_t key, T item) {
-    buffers_[src * devices_ + dst].push_back(
-        Entry{key, std::move(item)});
-  }
-
-  /// Everything destined for `dst`, merged by (key, src, push order).
-  /// Consumes the destination's buffers.
-  std::vector<T> gather(std::size_t dst) {
-    struct Tagged {
-      std::uint64_t key;
-      std::size_t src;
-      std::size_t seq;  ///< push order within (src, dst)
-      T* item;
-    };
-    std::vector<Tagged> order;
-    for (std::size_t src = 0; src < devices_; ++src) {
-      auto& buf = buffers_[src * devices_ + dst];
-      for (std::size_t i = 0; i < buf.size(); ++i)
-        order.push_back(Tagged{buf[i].key, src, i, &buf[i].item});
-    }
-    std::sort(order.begin(), order.end(),
-              [](const Tagged& a, const Tagged& b) {
-                if (a.key != b.key) return a.key < b.key;
-                if (a.src != b.src) return a.src < b.src;
-                return a.seq < b.seq;
-              });
-    std::vector<T> out;
-    out.reserve(order.size());
-    for (auto& t : order) out.push_back(std::move(*t.item));
-    for (std::size_t src = 0; src < devices_; ++src)
-      buffers_[src * devices_ + dst].clear();
-    return out;
-  }
-
- private:
-  struct Entry {
-    std::uint64_t key;
-    T item;
-  };
-
-  std::size_t devices_;
-  std::vector<std::vector<Entry>> buffers_;  // [src * devices_ + dst]
 };
 
 /// N devices presenting the single-device interface over the logical flat
@@ -159,9 +102,6 @@ class DevicePool {
   /// single device that ran the same commands.
   dram::DeviceStats roll_up() const;
 
-  /// Per-device roll-ups (reporting axis; combine with reduce_devices).
-  std::vector<dram::DeviceStats> per_device_roll_up() const;
-
   /// Per-kind command stats folded in logical flat order (see
   /// Device::command_roll_up).
   dram::CommandStats command_roll_up() const;
@@ -186,14 +126,6 @@ class DevicePool {
   std::vector<std::unique_ptr<dram::Device>> extras_;  // devices 1..N-1
 };
 
-/// Per-device stats of a pool combined along the device axis. Devices run
-/// concurrently and own disjoint sub-array shards, so this is the
-/// reduce_parallel discipline: time is the maximum, everything else adds,
-/// folded in device index order. For the bit-identity oracle use
-/// DevicePool::roll_up (logical flat order) instead — the per-device
-/// partial sums round differently in the last ulp.
-dram::DeviceStats reduce_devices(const std::vector<dram::DeviceStats>& parts);
-
 /// One Engine per pool device, presenting the single-engine submission
 /// interface over logical flat indices. With devices > 1 every per-device
 /// engine runs real workers (EngineOptions::force_worker) even at one
@@ -217,10 +149,8 @@ class PoolRunner {
   /// Routes a task to the engine channel owning the logical flat index.
   void submit_to_subarray(std::size_t subarray_flat, Task task);
 
-  /// Edge-block redistribution: splits an ISA program across owning
-  /// devices through an Exchange keyed by the global instruction sequence,
-  /// so each device executes its sub-stream in program order (per
-  /// sub-array order is therefore the single-device order).
+  /// Routes an ISA program to the owning devices (ShardPlan::split): each
+  /// device executes its sub-stream in program order.
   void submit_program(dram::Program program);
 
   /// Barrier over every device's engine, drained in device index order.

@@ -14,44 +14,11 @@
 
 #include "common/error.hpp"
 #include "common/fsio.hpp"
+#include "net/json.hpp"
 
 namespace pima::telemetry {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // write(2) everything or give up — the signal path has no better option.
 void write_fully(int fd, const char* bytes, std::size_t len) {
@@ -171,9 +138,9 @@ std::string FlightRecorder::render(const char* reason,
   out += "{\"schema\": \"";
   out += kSchema;
   out += "\",\n \"reason\": \"";
-  out += json_escape(reason);
+  out += net::Json::escape(reason);
   out += "\",\n \"detail\": \"";
-  out += json_escape(detail);
+  out += net::Json::escape(detail);
   out += "\",\n \"pid\": ";
   out += std::to_string(static_cast<long>(::getpid()));
   out += ",\n \"t_wall_us\": ";
@@ -189,12 +156,12 @@ std::string FlightRecorder::render(const char* reason,
   for (const auto& p : impl_->providers) {
     out += first ? "\n  \"" : ",\n  \"";
     first = false;
-    out += json_escape(p.name);
+    out += net::Json::escape(p.name);
     out += "\": ";
     try {
       out += p.fn();
     } catch (const std::exception& e) {
-      out += "{\"error\": \"" + json_escape(e.what()) + "\"}";
+      out += "{\"error\": \"" + net::Json::escape(e.what()) + "\"}";
     } catch (...) {
       out += "{\"error\": \"unknown\"}";
     }

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "net/json.hpp"
 
 namespace pima::telemetry {
 
@@ -24,21 +25,6 @@ std::string format_double(double v) {
     if (back == v) return probe;
   }
   return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
 }
 
 std::string render_labels(const Labels& labels) {
@@ -261,15 +247,15 @@ std::string MetricsRegistry::json_snapshot(bool model_only) const {
     if (model_only && m->cls != MetricClass::kModel) continue;
     out << (first ? "\n" : ",\n");
     first = false;
-    out << "    {\"name\": \"" << json_escape(m->name) << "\", \"type\": \""
-        << kind_name(m->kind) << "\", \"class\": \""
+    out << "    {\"name\": \"" << net::Json::escape(m->name)
+        << "\", \"type\": \"" << kind_name(m->kind) << "\", \"class\": \""
         << (m->cls == MetricClass::kModel ? "model" : "host") << "\"";
     if (!m->labels.empty()) {
       out << ", \"labels\": {";
       for (std::size_t i = 0; i < m->labels.size(); ++i) {
         if (i > 0) out << ", ";
-        out << '"' << json_escape(m->labels[i].first) << "\": \""
-            << json_escape(m->labels[i].second) << '"';
+        out << '"' << net::Json::escape(m->labels[i].first) << "\": \""
+            << net::Json::escape(m->labels[i].second) << '"';
       }
       out << '}';
     }

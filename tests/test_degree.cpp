@@ -4,6 +4,7 @@
 
 #include "common/rng.hpp"
 #include "dna/genome.hpp"
+#include "runtime/shard.hpp"
 
 namespace pima::core {
 namespace {
@@ -114,8 +115,9 @@ TEST(PimDegrees, MatchesGraphDegrees) {
       assembly::build_hashmap(reads, 12));
 
   dram::Device dev(degree_geometry());
+  runtime::DevicePool pool(dev, 1);
   const auto partition = partition_graph(g, 12);  // intervals ≤ 64 columns
-  const auto degrees = pim_degrees(dev, g, partition);
+  const auto degrees = pim_degrees(pool, g, partition);
 
   ASSERT_EQ(degrees.in_degree.size(), g.node_count());
   for (assembly::NodeId v = 0; v < g.node_count(); ++v) {
@@ -131,7 +133,8 @@ TEST(PimDegrees, MultiplicityContributes) {
   const auto g = assembly::DeBruijnGraph::from_counter(
       assembly::build_hashmap(reads, 5), /*use_multiplicity=*/true);
   dram::Device dev(degree_geometry());
-  const auto degrees = pim_degrees(dev, g, partition_graph(g, 2));
+  runtime::DevicePool pool(dev, 1);
+  const auto degrees = pim_degrees(pool, g, partition_graph(g, 2));
   std::uint64_t in_total = 0;
   for (const auto d : degrees.in_degree) in_total += d;
   EXPECT_EQ(in_total, g.edge_instances());

@@ -84,10 +84,19 @@ struct RunOutput {
   std::string model_snapshot;  ///< json_snapshot(model_only) — byte oracle
 };
 
+// Checkpointing for a run: stop_after > 0 makes on_checkpoint throw
+// StopRun once that stage's snapshot is on disk.
+struct Checkpointing {
+  std::string dir;
+  std::uint32_t stop_after = 0;
+  bool resume = false;
+};
+struct StopRun {};
+
 RunOutput run_config(const std::vector<dna::Sequence>& reads, bool isolate,
                      std::size_t devices,
                      const core::PipelineOptions::IsolateOptions& iso = {},
-                     bool capture = false) {
+                     bool capture = false, const Checkpointing& ckpt = {}) {
   auto& session = telemetry::TelemetrySession::instance();
   session.reset();
   session.enable_metrics();
@@ -100,6 +109,13 @@ RunOutput run_config(const std::vector<dna::Sequence>& reads, bool isolate,
   opt.isolate = isolate;
   opt.isolate_opts = iso;
   opt.capture_trace = capture;
+  opt.checkpoint_dir = ckpt.dir;
+  opt.resume = ckpt.resume;
+  if (ckpt.stop_after > 0)
+    opt.on_checkpoint = [stop = ckpt.stop_after](std::uint32_t stage,
+                                                 const std::string&) {
+      if (stage == stop) throw StopRun{};
+    };
   RunOutput out;
   out.result = core::run_pipeline(device, reads, opt);
   out.model_snapshot = session.metrics().json_snapshot(/*model_only=*/true);
@@ -188,6 +204,51 @@ TEST(ProcPoolRecovery, RecoveryPreservesCapturedTrace) {
   EXPECT_TRUE(fs::exists(flag)) << "hook never fired";
   EXPECT_EQ(run.result.trace, baseline.result.trace);
   fs::remove_all(scratch);
+}
+
+// ---- cross-mode resume: one snapshot format for both backends ---------------
+
+// Stops a 4-device run in one mode after `stop_after`, then resumes the
+// snapshot in the other mode. The resumed run must match the uninterrupted
+// run bit for bit, and its model-only metrics must match a resume of the
+// same snapshot in the mode that cut it (a resumed run skips the stages
+// the snapshot covers, so it exports only the remaining stages' metrics).
+void expect_cross_mode_resume(bool stop_isolated, std::uint32_t stop_after,
+                              const char* name) {
+  const auto reads = workload_reads(18);
+  const auto baseline = run_config(reads, /*isolate=*/false, 4);
+  const auto dir = fs::temp_directory_path() / name;
+  const auto same_dir =
+      fs::temp_directory_path() / (std::string(name) + "_same");
+  fs::remove_all(dir);
+  fs::remove_all(same_dir);
+  fs::create_directories(dir);
+  core::PipelineOptions::IsolateOptions iso;
+  iso.allow_degrade = false;  // a degrade would hide which mode resumed
+  EXPECT_THROW(run_config(reads, stop_isolated, 4, iso, false,
+                          {dir.string(), stop_after, false}),
+               StopRun);
+  fs::copy(dir, same_dir, fs::copy_options::recursive);
+
+  const auto crossed = run_config(reads, !stop_isolated, 4, iso, false,
+                                  {dir.string(), 0, /*resume=*/true});
+  const auto same = run_config(reads, stop_isolated, 4, iso, false,
+                               {same_dir.string(), 0, /*resume=*/true});
+  ASSERT_FALSE(crossed.result.contigs.empty());
+  expect_bit_identical(crossed.result, baseline.result);
+  expect_bit_identical(same.result, baseline.result);
+  ASSERT_FALSE(crossed.model_snapshot.empty());
+  EXPECT_EQ(crossed.model_snapshot, same.model_snapshot);
+  fs::remove_all(dir);
+  fs::remove_all(same_dir);
+}
+
+TEST(ProcPoolResume, IsolatedRunResumesInProcessSnapshot) {
+  expect_cross_mode_resume(/*stop_isolated=*/false, 1, "procpool_xresume_1");
+}
+
+TEST(ProcPoolResume, InProcessRunResumesIsolatedSnapshot) {
+  expect_cross_mode_resume(/*stop_isolated=*/true, 2, "procpool_xresume_2");
 }
 
 // ---- chaos: a fault plan aimed at the workers' wire -------------------------

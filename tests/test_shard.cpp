@@ -6,13 +6,12 @@
 // roll-ups, the model-class Prometheus snapshot, the merged command trace,
 // and the per-device command sub-streams replayed through the golden model.
 // Plus the algebra the device-indexed reductions rely on: DeviceStats /
-// FaultStats fold properties and the Exchange merge discipline.
+// FaultStats fold properties.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/bitvector.hpp"
@@ -187,21 +186,12 @@ TEST(DevicePoolFolds, MatchSingleDeviceBitForBit) {
   EXPECT_EQ(pc.energy_pj, sc.energy_pj);
   for (std::size_t k = 0; k < dram::kCommandKindCount; ++k)
     EXPECT_EQ(pc.counts[k], sc.counts[k]) << "command kind " << k;
-
-  // The device axis: per-device partials recombine to the pool totals.
-  const auto parts = pool.per_device_roll_up();
-  ASSERT_EQ(parts.size(), 3u);
-  const auto reduced = runtime::reduce_devices(parts);
-  const auto total = pool.roll_up();
-  EXPECT_EQ(reduced.commands, total.commands);
-  EXPECT_EQ(reduced.subarrays_used, total.subarrays_used);
-  EXPECT_EQ(reduced.time_ns, total.time_ns);  // max over disjoint shards
 }
 
 // ---- fold algebra -----------------------------------------------------------
 
 // Integer-valued doubles below 2^40 add exactly, so the associativity of
-// the device-indexed reduction is testable bit-for-bit (the production
+// the stage composition is testable bit-for-bit (the production
 // folds sidestep rounding entirely by folding in a fixed logical order).
 dram::DeviceStats random_stats(std::mt19937_64& rng) {
   dram::DeviceStats s;
@@ -247,82 +237,6 @@ TEST(FoldAlgebra, FaultStatsAssociativeCommutativeWithIdentity) {
     EXPECT_EQ(a + b, b + a);
     EXPECT_EQ(a + runtime::FaultStats{}, a);
     EXPECT_EQ(runtime::FaultStats{} + a, a);
-  }
-}
-
-TEST(FoldAlgebra, ReduceDevicesTakesMaxTimeAndAddsTheRest) {
-  dram::DeviceStats a, b;
-  a.time_ns = 10.0;
-  a.serial_ns = 10.0;
-  a.energy_pj = 1.0;
-  a.commands = 3;
-  a.subarrays_used = 2;
-  b.time_ns = 25.0;
-  b.serial_ns = 25.0;
-  b.energy_pj = 2.0;
-  b.commands = 4;
-  b.subarrays_used = 1;
-  const auto r = runtime::reduce_devices({a, b});
-  EXPECT_EQ(r.time_ns, 25.0);    // devices run concurrently
-  EXPECT_EQ(r.serial_ns, 35.0);  // 1-sub-array equivalent adds
-  EXPECT_EQ(r.energy_pj, 3.0);
-  EXPECT_EQ(r.commands, 7u);
-  EXPECT_EQ(r.subarrays_used, 3u);  // disjoint shards
-}
-
-// ---- Exchange merge discipline ---------------------------------------------
-
-TEST(ShardExchange, MergesByKeyThenSrcThenPushOrder) {
-  runtime::Exchange<int> ex(3);
-  ex.push(2, 0, 5, 20);
-  ex.push(0, 0, 5, 10);  // same key: lower src first
-  ex.push(1, 0, 1, 30);  // lowest key first
-  ex.push(0, 0, 5, 11);  // same (key, src): push order
-  EXPECT_EQ(ex.gather(0), (std::vector<int>{30, 10, 11, 20}));
-  EXPECT_TRUE(ex.gather(0).empty());  // gather consumes
-}
-
-TEST(ShardExchange, MergedOrderInvariantUnderDeviceCount) {
-  // The pipeline's usage pattern: item i is produced by its owner and
-  // keyed by a global sequence number. The gathered stream must be the
-  // same ascending-key stream for every device count.
-  const std::vector<int> expected = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-  for (const std::size_t devices : {1u, 2u, 4u, 7u}) {
-    runtime::Exchange<int> ex(devices);
-    // Push in per-owner bursts (the order a real sharded run produces).
-    for (std::size_t owner = 0; owner < devices; ++owner)
-      for (int i = 0; i < 10; ++i)
-        if (static_cast<std::size_t>(i) % devices == owner)
-          ex.push(owner, 0, static_cast<std::uint64_t>(i), i);
-    EXPECT_EQ(ex.gather(0), expected) << devices << " devices";
-  }
-}
-
-TEST(ShardExchange, ConcurrentProducersMergeDeterministically) {
-  // The pipeline hands one Exchange to N engine worker threads, each
-  // pushing only with its own `src` index (per-(src,dst) buffers make
-  // that the whole synchronization contract — TSan enforces it here).
-  // The merged stream must still be the device-count-invariant
-  // ascending-key order, regardless of thread interleaving.
-  std::vector<int> expected(512);
-  for (int i = 0; i < 512; ++i) expected[i] = i;
-  std::vector<int> reference;
-  for (const std::size_t devices : {2u, 3u, 8u}) {
-    runtime::Exchange<int> ex(devices);
-    std::vector<std::thread> producers;
-    for (std::size_t src = 0; src < devices; ++src)
-      producers.emplace_back([&ex, src, devices] {
-        for (int i = 0; i < 512; ++i)
-          if (static_cast<std::size_t>(i) % devices == src)
-            ex.push(src, 0, static_cast<std::uint64_t>(i), i);
-      });
-    for (auto& t : producers) t.join();
-    const auto merged = ex.gather(0);
-    EXPECT_EQ(merged, expected) << devices << " devices";
-    if (reference.empty())
-      reference = merged;
-    else
-      EXPECT_EQ(merged, reference) << devices << " devices";
   }
 }
 

@@ -21,6 +21,7 @@
 #include "common/error.hpp"
 #include "core/pipeline.hpp"
 #include "dna/genome.hpp"
+#include "net/json.hpp"
 #include "runtime/engine.hpp"
 #include "telemetry/flight.hpp"
 #include "telemetry/log.hpp"
@@ -303,6 +304,9 @@ TEST(Metrics, JsonSnapshotIsWellFormedAndClassFiltered) {
   reg.counter("pima_model_total", "m", {}, MetricClass::kModel).add(1.0);
   reg.counter("pima_host_total", "h", {}, MetricClass::kHost).add(1.0);
   reg.histogram("pima_hist_ns", "h", {1.0}, {{"channel", "0"}}).observe(0.5);
+  // Control characters in a label value must come out escaped.
+  const std::string raw = "a\r\x01b\n";
+  reg.counter("pima_label_total", "l", {{"path", raw}}).add(1.0);
   const auto full = reg.json_snapshot();
   const auto model = reg.json_snapshot(/*model_only=*/true);
   EXPECT_TRUE(json_ok(full)) << full;
@@ -310,6 +314,12 @@ TEST(Metrics, JsonSnapshotIsWellFormedAndClassFiltered) {
   EXPECT_NE(full.find("pima_host_total"), std::string::npos);
   EXPECT_EQ(model.find("pima_host_total"), std::string::npos);
   EXPECT_NE(model.find("pima_model_total"), std::string::npos);
+  const net::Json doc = net::Json::parse(full);
+  std::string label;
+  for (const auto& m : doc.get("metrics").items())
+    if (m.get_string("name") == "pima_label_total")
+      label = m.get("labels").get_string("path");
+  EXPECT_EQ(label, raw);
 }
 
 TEST(Metrics, BreakdownMetricsMatchBreakdownExactly) {
@@ -340,6 +350,9 @@ TEST(Tracer, RecordsSpansInstantsAndCounters) {
   t.set_thread_track(0);
   t.set_track_name(0, "main");
   t.set_track_name(1, "channel 1");
+  // Control characters in a track name must come out escaped.
+  const std::string raw = "a\r\x01b\n";
+  t.set_track_name(2, raw);
   const auto start = t.now_ns();
   t.record_complete("stage:hashmap", start, 1000, "shards", 8.0);
   t.record_instant("fault:detected");
@@ -359,6 +372,12 @@ TEST(Tracer, RecordsSpansInstantsAndCounters) {
   // Thread-name metadata for Perfetto track labels.
   EXPECT_NE(json.find("thread_name"), std::string::npos);
   EXPECT_NE(json.find("\"main\""), std::string::npos);
+  const net::Json doc = net::Json::parse(json);
+  std::string track_name;
+  for (const auto& e : doc.get("traceEvents").items())
+    if (e.get_string("name") == "thread_name" && e.get_uint64("tid") == 2)
+      track_name = e.get("args").get_string("name");
+  EXPECT_EQ(track_name, raw);
 }
 
 TEST(Tracer, DisabledRecordingIsANoOp) {
