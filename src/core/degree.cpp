@@ -166,15 +166,21 @@ std::vector<std::uint32_t> pim_column_sums(
   return sums;
 }
 
-std::vector<BitVector> DegreeKernel::rows(std::size_t width) const {
-  if (!transposed) return block_adjacency_rows(*block, row_count, width);
+EdgeBlock DegreeKernel::oriented() const {
+  if (!transposed) return *block;
   EdgeBlock t;
   t.source_interval = block->dest_interval;
   t.dest_interval = block->source_interval;
   t.edges.reserve(block->edges.size());
   for (const auto& e : block->edges)
     t.edges.push_back({e.to, e.from, e.multiplicity});
-  return block_adjacency_rows(t, row_count, width);
+  return t;
+}
+
+std::vector<BitVector> DegreeKernel::rows(std::size_t width) const {
+  // The in-degree kernel renders its block in place, without a copy.
+  if (!transposed) return block_adjacency_rows(*block, row_count, width);
+  return block_adjacency_rows(oriented(), row_count, width);
 }
 
 std::vector<DegreeKernel> degree_kernels(const dram::Geometry& geometry,

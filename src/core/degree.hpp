@@ -49,6 +49,11 @@ struct DegreeKernel {
   bool transposed = false;
   std::size_t row_count = 0;  ///< vertices of the row interval
 
+  /// The block in kernel orientation: rows are the row interval's
+  /// vertices, columns the column interval's (the transpose reverses every
+  /// edge).
+  EdgeBlock oriented() const;
+
   /// The kernel's input rows (built on demand, so an engine task can
   /// build them on its channel).
   std::vector<BitVector> rows(std::size_t width) const;

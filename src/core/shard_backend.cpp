@@ -213,12 +213,18 @@ class IsolatedBackend final : public ShardBackend {
 
   void run_degree_blocks(const assembly::DeBruijnGraph&,
                          const GraphPartition& partition) override {
-    // The workers run the full carry-save reduction and drop the sums, so
-    // the device traffic matches the in-process run command for command.
+    // One request per worker carries every kernel it owns, in walk order,
+    // so each sub-array sees the in-process command sequence. The workers
+    // run the full carry-save reduction and drop the sums, so the device
+    // traffic matches the in-process run command for command.
+    std::vector<std::vector<DegreeKernel>> owned(sup_.devices());
     for (const DegreeKernel& kernel : degree_kernels(geometry_, partition))
-      sup_.rpc(plan_.owner_of(kernel.flat),
-               degree_block_request(kernel.flat,
-                                    kernel.rows(geometry_.columns)));
+      owned[plan_.owner_of(kernel.flat)].push_back(kernel);
+    std::vector<net::Json> requests;
+    requests.reserve(owned.size());
+    for (const auto& kernels : owned)
+      requests.push_back(degree_block_request(kernels));
+    sup_.rpc_all(requests);
     drain();
   }
 
@@ -238,8 +244,10 @@ class IsolatedBackend final : public ShardBackend {
 
   std::vector<std::pair<assembly::Kmer, std::uint32_t>> extract_shard(
       std::size_t shard) override {
+    // Journaled: reading a shard out issues ROW_READs, which a restarted
+    // worker must replay for the stage's stats and trace to match.
     return extract_entries(
-        sup_.query(plan_.owner_of(shard), extract_request(shard)), k_);
+        sup_.rpc(plan_.owner_of(shard), extract_request(shard)), k_);
   }
 
   std::size_t distinct_kmers() override {

@@ -163,13 +163,23 @@ net::Json program_request(const dram::Program& program) {
   return req;
 }
 
-net::Json degree_block_request(std::size_t flat,
-                               const std::vector<BitVector>& rows) {
-  net::Json req = verb_request("degree_block");
-  req.set("flat", static_cast<std::uint64_t>(flat));
+net::Json degree_block_request(const std::vector<DegreeKernel>& kernels) {
   net::Json arr = net::Json::array();
-  for (const auto& r : rows) arr.push_back(net::Json(r.to_string()));
-  req.set("rows", std::move(arr));
+  for (const DegreeKernel& kernel : kernels) {
+    net::Json edges = net::Json::array();
+    for (const auto& e : kernel.oriented().edges) {
+      edges.push_back(net::Json(static_cast<std::uint64_t>(e.from)));
+      edges.push_back(net::Json(static_cast<std::uint64_t>(e.to)));
+      edges.push_back(net::Json(static_cast<std::uint64_t>(e.multiplicity)));
+    }
+    net::Json entry = net::Json::array();
+    entry.push_back(net::Json(static_cast<std::uint64_t>(kernel.flat)));
+    entry.push_back(net::Json(static_cast<std::uint64_t>(kernel.row_count)));
+    entry.push_back(std::move(edges));
+    arr.push_back(std::move(entry));
+  }
+  net::Json req = verb_request("degree_block");
+  req.set("kernels", std::move(arr));
   return req;
 }
 
@@ -325,21 +335,67 @@ net::Json ShardWorkerCore::op_program(const net::Json& req) {
 }
 
 net::Json ShardWorkerCore::op_degree_block(const net::Json& req) {
-  const std::size_t flat = static_cast<std::size_t>(req.get_uint64("flat"));
-  if (flat >= device_.geometry().total_subarrays())
-    bad_request("degree_block flat index out of range");
-  if (!req.has("rows") || !req.get("rows").is_array())
-    bad_request("degree_block needs adjacency rows");
-  std::vector<BitVector> rows;
-  rows.reserve(req.get("rows").items().size());
-  for (const auto& item : req.get("rows").items())
-    rows.push_back(BitVector::from_string(item.as_string()));
+  if (!req.has("kernels") || !req.get("kernels").is_array())
+    bad_request("degree_block needs a kernel array");
+  const dram::Geometry& geometry = device_.geometry();
+  struct Kernel {
+    std::size_t flat = 0;
+    std::size_t row_count = 0;
+    EdgeBlock block;
+  };
+  // Every kernel is validated before any is queued, so a malformed
+  // request leaves the device untouched.
+  std::vector<Kernel> kernels;
+  kernels.reserve(req.get("kernels").items().size());
+  for (const auto& item : req.get("kernels").items()) {
+    if (!item.is_array() || item.items().size() != 3)
+      bad_request("degree_block kernel must be [flat, row_count, edges]");
+    const auto& fields = item.items();
+    Kernel k{static_cast<std::size_t>(fields[0].as_uint64()),
+             static_cast<std::size_t>(fields[1].as_uint64()),
+             {}};
+    if (k.flat >= geometry.total_subarrays())
+      bad_request("degree_block flat index out of range");
+    if (k.row_count > geometry.columns)
+      bad_request("degree_block row count exceeds the row width");
+    if (!fields[2].is_array() || fields[2].items().size() % 3 != 0)
+      bad_request("degree_block edges must be (from, to, multiplicity) "
+                  "triples");
+    const auto& flat_edges = fields[2].items();
+    // Rows the rendered kernel occupies: one per source vertex plus one
+    // per extra edge instance (block_adjacency_rows).
+    std::size_t rows = k.row_count;
+    k.block.edges.reserve(flat_edges.size() / 3);
+    for (std::size_t i = 0; i < flat_edges.size(); i += 3) {
+      const std::uint64_t from = flat_edges[i].as_uint64();
+      const std::uint64_t to = flat_edges[i + 1].as_uint64();
+      const std::uint64_t mult = flat_edges[i + 2].as_uint64();
+      if (from >= k.row_count)
+        bad_request("degree_block edge source outside the kernel's rows");
+      if (to >= geometry.columns)
+        bad_request("degree_block edge destination outside the row width");
+      if (mult < 1 || mult > geometry.data_rows())
+        bad_request("degree_block edge multiplicity out of range");
+      rows += mult - 1;
+      k.block.edges.push_back({static_cast<std::uint32_t>(from),
+                               static_cast<std::uint32_t>(to),
+                               static_cast<std::uint32_t>(mult)});
+    }
+    if (rows > geometry.data_rows())
+      bad_request("degree_block kernel needs more rows than a sub-array "
+                  "holds");
+    kernels.push_back(std::move(k));
+  }
   runtime::submit_or_surface(*engine_, [&] {
-    engine_->submit_to_subarray(flat, [this, flat, rows = std::move(rows)] {
-      // Sums are discarded: the pipeline only keeps the device work (the
-      // in-process backend discards DegreeResult the same way).
-      (void)pim_column_sums(device_.subarray(flat), rows);
-    });
+    for (Kernel& k : kernels)
+      engine_->submit_to_subarray(k.flat, [this, k = std::move(k)] {
+        // Sums are discarded: the pipeline only keeps the device work (the
+        // in-process backend discards DegreeResult the same way).
+        (void)pim_column_sums(
+            device_.subarray(k.flat),
+            block_adjacency_rows(k.block, k.row_count,
+                                 device_.geometry().columns));
+      });
   });
   return ok_response();
 }

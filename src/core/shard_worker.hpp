@@ -16,7 +16,10 @@
 //   extract       one hash shard's (k-mer, freq) entries in slot order
 //   distinct      controller-side distinct-key count
 //   program       parse + submit an AAP program slice (stages 2/3)
-//   degree_block  run pim_column_sums on one sub-array (stage-3 kernel)
+//   degree_block  queue every stage-3 degree kernel this worker owns, in
+//                 walk order; each arrives as a sparse edge list in kernel
+//                 orientation and its engine task renders the adjacency
+//                 rows and runs pim_column_sums on its sub-array
 //   stats         per-sub-array CommandStats of every touched sub-array
 //   clear_stats   stage-boundary statistics reset
 //   trace         per-sub-array replay programs (oracle capture)
@@ -42,6 +45,7 @@
 #include <vector>
 
 #include "circuit/tech.hpp"
+#include "core/degree.hpp"
 #include "core/pim_hash_table.hpp"
 #include "dram/device.hpp"
 #include "dram/geometry.hpp"
@@ -82,8 +86,10 @@ net::Json kmers_request(std::size_t channel,
                         const std::vector<assembly::Kmer>& batch);
 net::Json extract_request(std::size_t shard);
 net::Json program_request(const dram::Program& program);
-net::Json degree_block_request(std::size_t flat,
-                               const std::vector<BitVector>& rows);
+/// One worker's degree kernels, in walk order: `kernels` is an array of
+/// [flat, row_count, [from, to, multiplicity, ...]], the edges of
+/// DegreeKernel::oriented() flattened into triples.
+net::Json degree_block_request(const std::vector<DegreeKernel>& kernels);
 
 // ---- Controller side: response decoders ----
 

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <thread>
 
@@ -241,8 +242,7 @@ void ProcSupervisor::spawn(std::size_t d) {
   ++w.spawn_count;
 }
 
-net::Json ProcSupervisor::transact(Worker& w, const std::string& line) {
-  w.channel->write_line(line);
+net::Json ProcSupervisor::receive(Worker& w) {
   std::string response;
   for (;;) {
     if (!w.channel->read_line(response))
@@ -251,6 +251,11 @@ net::Json ProcSupervisor::transact(Worker& w, const std::string& line) {
     if (j.has("hb")) continue;  // heartbeat: read_line already re-armed
     return j;
   }
+}
+
+net::Json ProcSupervisor::transact(Worker& w, const std::string& line) {
+  w.channel->write_line(line);
+  return receive(w);
 }
 
 void ProcSupervisor::respawn(std::size_t d) {
@@ -410,72 +415,134 @@ void ProcSupervisor::start() {
   }
 }
 
-net::Json ProcSupervisor::do_rpc(std::size_t device, const net::Json& request,
-                                 bool journaled) {
+std::vector<net::Json> ProcSupervisor::exchange(
+    const std::vector<std::pair<std::size_t, const net::Json*>>& requests,
+    bool journaled) {
   PIMA_CHECK(started_, "process pool not started");
-  PIMA_CHECK(device < workers_.size(), "device index out of range");
   // Traced runs stamp each request with a flow id: the controller's
   // rpc:<op> span opens the flow, the worker's devd:<op> span finishes
   // it, and Perfetto draws the cross-process arrow. Journaled lines keep
   // their stamp — a replayed flow end is a harmless duplicate.
   telemetry::Tracer& tr = telemetry::tracer();
   const bool traced = tr.enabled();
-  std::uint64_t flow = 0;
-  std::string line;
-  if (traced) {
-    net::Json stamped = request;
-    flow = ++flow_seq_;
-    stamped.set("tel", flow);
-    line = stamped.dump();
-  } else {
-    line = request.dump();
-  }
-  for (;;) {
-    Worker& w = workers_[device];
-    bool sent = false;
-    net::Json response;
-    std::int64_t t_start = 0;
-    try {
-      if (!w.alive) respawn(device);
-      t_start = traced ? tr.now_ns() : 0;
-      response = transact(w, line);
-      sent = true;
-    } catch (const DeadlineExceededError& e) {
-      on_worker_failure(device, true, e.what());
-    } catch (const CorruptCheckpointError&) {
-      throw;  // stale/foreign shard checkpoint: not survivable by restart
-    } catch (const IoError& e) {
-      on_worker_failure(device, false, e.what());
-    } catch (const InputFormatError& e) {
-      // Garbage on the wire (undecodable response line) = torn protocol.
-      on_worker_failure(device, false, e.what());
-    }
-    if (!sent) continue;  // restarted; replay done — retry the request
+  struct Call {
+    std::size_t device;
+    std::string line;
+    const char* span;
+    std::uint64_t flow = 0;
+    bool owed = false;  ///< sent, response not yet read
+  };
+  std::vector<Call> calls;
+  calls.reserve(requests.size());
+  for (const auto& [device, request] : requests) {
+    PIMA_CHECK(device < workers_.size(), "device index out of range");
+    Call c{device, {}, rpc_span_name(request->get_string("op"))};
     if (traced) {
-      tr.record_complete(rpc_span_name(request.get_string("op")), t_start,
-                         tr.now_ns() - t_start);
-      tr.record_flow("rpc", 's', flow, t_start);
+      net::Json stamped = *request;
+      c.flow = ++flow_seq_;
+      stamped.set("tel", c.flow);
+      c.line = stamped.dump();
+    } else {
+      c.line = request->dump();
     }
-    if (!response.get_bool("ok", false)) {
-      // Deterministic child-side failure: no restart. A stalled engine
-      // poisons the worker (it exits right after responding); mark it
-      // dead so shutdown() does not handshake with it.
-      if (response.get_string("error") == "EngineStalledError")
-        (void)reap_worker(device, false);
-      throw_worker_error(response);
-    }
-    w.consecutive_restarts = 0;
-    if (journaled) w.journal.push_back(line);
-    return response;
+    calls.push_back(std::move(c));
   }
+  // Transport failures and liveness expiries run classify → restart →
+  // replay, bounded by the restart budget; the caller then resends.
+  const auto recover = [this](std::size_t d, const auto& attempt) {
+    for (;;) {
+      try {
+        return attempt();
+      } catch (const DeadlineExceededError& e) {
+        on_worker_failure(d, true, e.what());
+      } catch (const CorruptCheckpointError&) {
+        throw;  // stale/foreign shard checkpoint: not survivable by restart
+      } catch (const IoError& e) {
+        on_worker_failure(d, false, e.what());
+      } catch (const InputFormatError& e) {
+        // Garbage on the wire (undecodable response line) = torn protocol.
+        on_worker_failure(d, false, e.what());
+      }
+    }
+  };
+  const auto send = [&](Call& c) {
+    recover(c.device, [&] {
+      Worker& w = workers_[c.device];
+      if (!w.alive) respawn(c.device);
+      w.channel->write_line(c.line);
+      c.owed = true;
+    });
+  };
+  std::vector<net::Json> responses(calls.size());
+  std::exception_ptr first_error;
+  try {
+    // Every request is written before any response is read, so the
+    // workers execute concurrently. A response is read only from the
+    // incarnation it was sent to: a failed read restarts the worker and
+    // sends the request again.
+    std::int64_t t_start = traced ? tr.now_ns() : 0;
+    for (Call& c : calls) send(c);
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      Call& c = calls[i];
+      net::Json& response = responses[i];
+      recover(c.device, [&] {
+        if (!workers_[c.device].alive) send(c);  // restarted: send again
+        response = receive(workers_[c.device]);
+      });
+      c.owed = false;
+      if (traced) {
+        // Spans of one exchange share its start, so they nest by
+        // duration on the controller track.
+        tr.record_complete(c.span, t_start, tr.now_ns() - t_start);
+        tr.record_flow("rpc", 's', c.flow, t_start);
+      }
+      if (!response.get_bool("ok", false)) {
+        // Deterministic child-side failure: no restart. A stalled engine
+        // poisons the worker (it exits right after responding); mark it
+        // dead so shutdown() does not handshake with it. The remaining
+        // responses are still read, keeping every channel in step.
+        if (response.get_string("error") == "EngineStalledError")
+          (void)reap_worker(c.device, false);
+        if (!first_error) {
+          try {
+            throw_worker_error(response);
+          } catch (...) {
+            first_error = std::current_exception();
+          }
+        }
+        continue;
+      }
+      workers_[c.device].consecutive_restarts = 0;
+      if (journaled) workers_[c.device].journal.push_back(c.line);
+    }
+  } catch (...) {
+    // Degraded, or a restart that cannot succeed: a worker still owing a
+    // response is killed, so no channel is left mid-request (a later
+    // request respawns it and replays its journal).
+    for (const Call& c : calls)
+      if (c.owed) (void)reap_worker(c.device, false);
+    throw;
+  }
+  if (first_error) std::rethrow_exception(first_error);
+  return responses;
 }
 
 net::Json ProcSupervisor::rpc(std::size_t device, const net::Json& request) {
-  return do_rpc(device, request, true);
+  return std::move(exchange({{device, &request}}, true).front());
 }
 
 net::Json ProcSupervisor::query(std::size_t device, const net::Json& request) {
-  return do_rpc(device, request, false);
+  return std::move(exchange({{device, &request}}, false).front());
+}
+
+std::vector<net::Json> ProcSupervisor::rpc_all(
+    const std::vector<net::Json>& requests) {
+  PIMA_CHECK(requests.size() == workers_.size(),
+             "rpc_all needs one request per worker");
+  std::vector<std::pair<std::size_t, const net::Json*>> calls;
+  for (std::size_t d = 0; d < requests.size(); ++d)
+    calls.emplace_back(d, &requests[d]);
+  return exchange(calls, true);
 }
 
 void ProcSupervisor::collect_telemetry() {

@@ -47,6 +47,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -152,6 +153,16 @@ class ProcSupervisor {
   /// Read-only request: same failure handling, not journaled.
   net::Json query(std::size_t device, const net::Json& request);
 
+  /// One state-mutating request per worker (`requests[d]` goes to worker
+  /// d), with rpc()'s journaling and failure handling. Every request is
+  /// written before any response is read, so the workers execute them
+  /// concurrently; responses are read in device order. A worker that fails
+  /// while its request is outstanding is restarted, replayed and sent the
+  /// request again. A typed child error does not stop the exchange: every
+  /// other response is still read (and journaled when ok), then the error
+  /// of the lowest device is rethrown, so no channel is left mid-request.
+  std::vector<net::Json> rpc_all(const std::vector<net::Json>& requests);
+
   /// Stage boundary: harvests worker span buffers (when the controller
   /// tracer is live), truncates journals (when enabled) and writes the
   /// per-device shard checkpoints.
@@ -188,13 +199,18 @@ class ProcSupervisor {
   void validate_shard_checkpoint(std::size_t d) const;
   void spawn(std::size_t d);
   void respawn(std::size_t d);
+  /// Reads the next response line, skipping heartbeats.
+  net::Json receive(Worker& w);
   net::Json transact(Worker& w, const std::string& line);
   /// Classify + reap + log; throws ProcPoolDegradedError past the budget,
   /// otherwise sleeps the backoff and leaves the worker dead for respawn.
   void on_worker_failure(std::size_t d, bool wedged, const std::string& what);
   WorkerExitClass reap_worker(std::size_t d, bool wedged) noexcept;
-  net::Json do_rpc(std::size_t device, const net::Json& request,
-                   bool journaled);
+  /// The one request path behind rpc/query/rpc_all: writes every
+  /// (device, request) pair, then reads the responses in order.
+  std::vector<net::Json> exchange(
+      const std::vector<std::pair<std::size_t, const net::Json*>>& requests,
+      bool journaled);
 
   ProcPoolOptions options_;
   std::function<net::Json(std::size_t)> make_init_;

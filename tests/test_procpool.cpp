@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/degree.hpp"
 #include "core/pipeline.hpp"
 #include "core/shard_worker.hpp"
 #include "dna/genome.hpp"
@@ -204,6 +205,57 @@ TEST(ProcPoolRecovery, RecoveryPreservesCapturedTrace) {
   EXPECT_TRUE(fs::exists(flag)) << "hook never fired";
   EXPECT_EQ(run.result.trace, baseline.result.trace);
   fs::remove_all(scratch);
+}
+
+// Runs `reads` isolated on four devices with trace capture while
+// PIMA_DEVD_TEST_HOOK SIGKILLs device 2 once, right after it handled its
+// `after`-th request (init is request 1) and before it answered; the run
+// must match the crash-free in-process run in contigs, per-stage stats,
+// model-only snapshot and merged command capture.
+void expect_device2_crash_is_invisible(const std::vector<dna::Sequence>& reads,
+                                       std::size_t after, const char* name) {
+  const auto baseline =
+      run_config(reads, /*isolate=*/false, 4, {}, /*capture=*/true);
+  const auto scratch = fs::temp_directory_path() / name;
+  fs::remove_all(scratch);
+  fs::create_directories(scratch);
+  const auto flag = (scratch / "flag").string();
+  ScopedEnv hook("PIMA_DEVD_TEST_HOOK",
+                 "dev=2:after=" + std::to_string(after) +
+                     ":action=sigkill:flag=" + flag);
+  core::PipelineOptions::IsolateOptions iso;
+  iso.allow_degrade = false;  // a degrade here would mask a replay bug
+  const auto run = run_config(reads, /*isolate=*/true, 4, iso, /*capture=*/true);
+  EXPECT_TRUE(fs::exists(flag)) << "hook never fired";
+  expect_bit_identical(run.result, baseline.result);
+  EXPECT_EQ(run.model_snapshot, baseline.model_snapshot);
+  ASSERT_FALSE(run.result.trace.empty());
+  EXPECT_EQ(run.result.trace, baseline.result.trace);
+  fs::remove_all(scratch);
+}
+
+// Device 2's requests on workload_reads(19), untraced (counted from the
+// devd:<verb> spans of a traced run of the same input, minus its
+// `telemetry` harvests; init is request 1): kmers 2–6, drain 7,
+// extract 8–9 (shards 2 and 6), distinct 10, stats 11, clear_stats 12,
+// then stage 2 (program 13, drain 14, stats 15, clear_stats 16), then
+// stage 3 (degree_block 17, drain 18, program 19, ...).
+
+TEST(ProcPoolRecovery, CrashAfterExtractReplaysItsRowReads) {
+  // Dies on `distinct` (request 10), after both extracts were answered.
+  // Reading a shard out issues ROW_READs, so the replayed journal must
+  // hold the extracts or stage 1's stats and the capture come up short.
+  expect_device2_crash_is_invisible(workload_reads(19), 10,
+                                    "procpool_extract_hook");
+}
+
+TEST(ProcPoolRecovery, CrashInsideTraverseBatchIsBitIdentical) {
+  // Dies on `degree_block` (request 17) with its whole kernel batch
+  // queued but unanswered, while the other workers' batches are still
+  // outstanding in rpc_all: the supervisor restarts it, replays stages
+  // 1–2 and resends the batch.
+  expect_device2_crash_is_invisible(workload_reads(19), 17,
+                                    "procpool_traverse_hook");
 }
 
 // ---- cross-mode resume: one snapshot format for both backends ---------------
@@ -453,6 +505,110 @@ TEST(ProcPoolWire, TypedErrorsRoundTripThroughResponses) {
   EXPECT_EQ(roundtrip(InputFormatError("bad")), "InputFormatError");
   EXPECT_EQ(roundtrip(CorruptCheckpointError("crc")), "CorruptCheckpointError");
   EXPECT_EQ(roundtrip(SimulationError("boom")), "SimulationError");
+}
+
+// ---- degree_block batches and rpc_all ---------------------------------------
+
+core::WorkerInit small_worker_init() {
+  core::WorkerInit init;
+  init.geometry = pipeline_geometry();
+  init.technology = circuit::default_technology();
+  init.k = 15;
+  init.hash_shards = 4;
+  init.channels = 2;
+  return init;
+}
+
+net::Json degree_block_json(const std::string& kernels) {
+  return net::Json::parse("{\"op\":\"degree_block\",\"kernels\":" + kernels +
+                          "}");
+}
+
+TEST(ProcPoolWire, DegreeBlockRejectsMalformedKernelsBeforeQueueingAny) {
+  core::ShardWorkerCore worker(core::worker_init_to_json(small_worker_init()));
+  const auto total = pipeline_geometry().total_subarrays();
+  // Each request leads with a valid kernel: a rejection must come before
+  // anything is queued, so the device stays untouched.
+  const std::string valid = "[3,2,[0,1,1,1,5,2]]";
+  for (const std::string& bad :
+       {"[" + std::to_string(total) + ",2,[0,1,1]]",  // flat ≥ sub-arrays
+        std::string("[3,257,[]]"),                    // row_count > columns
+        std::string("[3,2,[2,1,1]]"),                 // from ≥ row_count
+        std::string("[3,2,[0,256,1]]"),               // to ≥ columns
+        std::string("[3,2,[0,1,1,1]]")}) {            // not triples
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(worker.handle(degree_block_json("[" + valid + "," + bad + "]")),
+                 InputFormatError);
+  }
+  (void)worker.handle(core::verb_request("drain"));
+  EXPECT_TRUE(
+      core::stats_entries(worker.handle(core::verb_request("stats"))).empty());
+  // The same valid kernel alone is accepted and runs.
+  (void)worker.handle(degree_block_json("[" + valid + "]"));
+  (void)worker.handle(core::verb_request("drain"));
+  EXPECT_EQ(
+      core::stats_entries(worker.handle(core::verb_request("stats"))).size(),
+      1u);
+}
+
+TEST(ProcPoolWire, TransposedKernelMatchesDirectColumnSums) {
+  const auto init = small_worker_init();
+  core::EdgeBlock block;
+  block.source_interval = 0;
+  block.dest_interval = 1;
+  block.edges = {{0, 2, 1}, {1, 2, 3}, {4, 0, 2}, {3, 3, 1}};
+  // The out-degree kernel of the block: rows are the 4 destination
+  // vertices, columns the 5 sources; multiplicities above 1 add rows.
+  const core::DegreeKernel kernel{9, &block, /*transposed=*/true, 4};
+
+  core::ShardWorkerCore worker(core::worker_init_to_json(init));
+  (void)worker.handle(core::degree_block_request({kernel}));
+  (void)worker.handle(core::verb_request("drain"));
+  const auto stats =
+      core::stats_entries(worker.handle(core::verb_request("stats")));
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].first, kernel.flat);
+
+  dram::Device direct(init.geometry, init.technology);
+  (void)core::pim_column_sums(direct.subarray(kernel.flat),
+                              kernel.rows(init.geometry.columns));
+  const dram::CommandStats& want = direct.subarray(kernel.flat).stats();
+  const dram::CommandStats& got = stats[0].second;
+  for (std::size_t i = 0; i < dram::kCommandKindCount; ++i)
+    EXPECT_EQ(got.counts[i], want.counts[i]) << "kind " << i;
+  EXPECT_EQ(got.busy_ns, want.busy_ns);
+  EXPECT_EQ(got.energy_pj, want.energy_pj);
+}
+
+TEST(ProcPoolExchange, RpcAllTypedErrorReadsEveryResponse) {
+  runtime::ProcPoolOptions opt;
+  opt.devices = 2;
+  const auto init = small_worker_init();
+  runtime::ProcSupervisor sup(opt, [&](std::size_t d) {
+    core::WorkerInit wi = init;
+    wi.device = d;
+    return core::worker_init_to_json(wi);
+  });
+  sup.start();
+  // Worker 0 rejects its batch; worker 1's valid batch is still answered
+  // and read, so both channels stay in step and nobody is restarted.
+  const std::vector<net::Json> requests = {
+      degree_block_json("[[0,300,[]]]"),
+      degree_block_json("[[1,2,[0,1,1,1,0,2]]]")};
+  EXPECT_THROW(sup.rpc_all(requests), InputFormatError);
+  for (std::size_t d = 0; d < 2; ++d)
+    EXPECT_TRUE(sup.query(d, core::verb_request("ping")).get_bool("ok", false))
+        << "device " << d;
+  // A channel left one response behind would hand `stats` an older
+  // reply without "subarrays". Only worker 1's batch ran.
+  for (std::size_t d = 0; d < 2; ++d) {
+    (void)sup.rpc(d, core::verb_request("drain"));
+    const auto stats =
+        core::stats_entries(sup.query(d, core::verb_request("stats")));
+    EXPECT_EQ(stats.size(), d) << "device " << d;
+  }
+  EXPECT_EQ(sup.restarts_used(), 0u);
+  sup.shutdown();
 }
 
 // ---- shard checkpoints ------------------------------------------------------
