@@ -11,6 +11,7 @@
 #include "common/table.hpp"
 #include "core/pim_hash_table.hpp"
 #include "dna/genome.hpp"
+#include "runtime/shard.hpp"
 
 using namespace pima;
 
@@ -31,7 +32,8 @@ dram::DeviceStats run_build(core::MappingPolicy policy,
                             const std::vector<dna::Sequence>& reads,
                             std::size_t k) {
   dram::Device dev(bench_geometry());
-  core::PimHashTable table(dev, 12, 0, policy);
+  runtime::DevicePool pool(dev, 1);
+  core::PimHashTable table(pool, 12, 0, policy);
   for (const auto& read : reads) {
     if (read.size() < k) continue;
     auto window = assembly::Kmer::from_sequence(read, 0, k);

@@ -22,8 +22,8 @@
 #include "core/cost_model.hpp"
 #include "core/pipeline.hpp"
 #include "dna/genome.hpp"
+#include "net/json.hpp"
 #include "platforms/presets.hpp"
-#include "service/json.hpp"
 
 using namespace pima;
 using platforms::BulkOp;
@@ -115,7 +115,7 @@ void write_headline_json(const char* path, double vs_cpu, double vs_pim,
                          double area_overhead_percent,
                          double variation_failure_percent,
                          const RuntimeSpeedup& rt) {
-  using service::Json;
+  using net::Json;
   Json runtime = Json::object();
   runtime.set("channels", rt.channels)
       .set("serial_wall_ms", rt.serial_wall_ms)

@@ -10,6 +10,7 @@
 #include "core/pim_hash_table.hpp"
 #include "dna/genome.hpp"
 #include "dram/subarray.hpp"
+#include "runtime/shard.hpp"
 
 using namespace pima;
 
@@ -68,7 +69,8 @@ void BM_PimHashInsert(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     dram::Device dev(micro_geometry());
-    core::PimHashTable table(dev, 8);
+    runtime::DevicePool pool(dev, 1);
+    core::PimHashTable table(pool, 8);
     state.ResumeTiming();
     for (const auto& km : kmers)
       benchmark::DoNotOptimize(table.insert_or_increment(km));

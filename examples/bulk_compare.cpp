@@ -64,8 +64,9 @@ int main() {
   table.add_row({"DPU reductions",
                  std::to_string(st.counts[static_cast<std::size_t>(
                      dram::CommandKind::kDpuReduce)])});
-  table.add_row({"latency", TextTable::num(st.busy_ns / 1e3, 4) + " us"});
-  table.add_row({"energy", TextTable::num(st.energy_pj / 1e3, 4) + " nJ"});
+  const dram::CommandCost cost = sa.cost();
+  table.add_row({"latency", TextTable::num(cost.busy_ns / 1e3, 4) + " us"});
+  table.add_row({"energy", TextTable::num(cost.energy_pj / 1e3, 4) + " nJ"});
   std::fputs(table.render().c_str(), stdout);
 
   // The same scan under Ambit's 7-cycle X(N)OR (per-row cycles from the

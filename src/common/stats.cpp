@@ -59,7 +59,9 @@ std::string Histogram::render(std::size_t width) const {
     out += line;
     const auto bar = counts_[b] * width / peak;
     out.append(bar, '#');
-    out += " " + std::to_string(counts_[b]) + "\n";
+    out += ' ';
+    out += std::to_string(counts_[b]);
+    out += '\n';
   }
   return out;
 }

@@ -15,36 +15,23 @@ std::uint64_t slot_hash(const assembly::Kmer& km) {
 }
 }  // namespace
 
-PimHashTable::PimHashTable(dram::Device& device, std::size_t shards,
-                           std::size_t first_subarray, MappingPolicy policy)
-    : device_(&device),
-      layout_(ShardLayout::for_geometry(device.geometry())),
-      policy_(policy) {
-  init(shards, first_subarray, policy);
-}
-
 PimHashTable::PimHashTable(runtime::DevicePool& pool, std::size_t shards,
                            std::size_t first_subarray, MappingPolicy policy)
-    : pool_(&pool),
+    : pool_(pool),
       layout_(ShardLayout::for_geometry(pool.geometry())),
       policy_(policy) {
-  init(shards, first_subarray, policy);
-}
-
-void PimHashTable::init(std::size_t shards, std::size_t first_subarray,
-                        MappingPolicy policy) {
   PIMA_CHECK(shards > 0, "need at least one shard");
   const std::size_t extra =
       policy == MappingPolicy::kCentralValues ? 1 : 0;
   PIMA_CHECK(
-      first_subarray + shards + extra <= geometry().total_subarrays(),
+      first_subarray + shards + extra <= pool_.geometry().total_subarrays(),
       "shard range exceeds device");
   if (policy == MappingPolicy::kCentralValues) {
     central_value_flat_ = first_subarray + shards;
     const std::size_t counter_rows =
         (shards * layout_.kmer_rows + layout_.counters_per_row() - 1) /
         layout_.counters_per_row();
-    PIMA_CHECK(counter_rows <= geometry().data_rows(),
+    PIMA_CHECK(counter_rows <= pool_.geometry().data_rows(),
                "central value array cannot hold every counter — use the "
                "correlated mapping for tables this large");
   }
@@ -57,22 +44,9 @@ void PimHashTable::init(std::size_t shards, std::size_t first_subarray,
   }
 }
 
-const dram::Geometry& PimHashTable::geometry() const {
-  return pool_ ? pool_->geometry() : device_->geometry();
-}
-
-dram::Subarray& PimHashTable::backing_subarray(std::size_t flat) {
-  return pool_ ? pool_->subarray(flat) : device_->subarray(flat);
-}
-
-const dram::Subarray* PimHashTable::backing_subarray_if(
-    std::size_t flat) const {
-  return pool_ ? pool_->subarray_if(flat) : device_->subarray_if(flat);
-}
-
 dram::Subarray& PimHashTable::value_subarray(std::size_t shard_index) {
   if (policy_ == MappingPolicy::kCentralValues)
-    return backing_subarray(central_value_flat_);
+    return pool_.subarray(central_value_flat_);
   return shard_subarray(shards_[shard_index]);
 }
 
@@ -86,7 +60,7 @@ dram::RowAddr PimHashTable::value_row_for(std::size_t shard_index,
 }
 
 dram::Subarray& PimHashTable::shard_subarray(const Shard& s) {
-  return backing_subarray(s.subarray_flat);
+  return pool_.subarray(s.subarray_flat);
 }
 
 std::size_t PimHashTable::capacity() const {
@@ -170,7 +144,7 @@ void PimHashTable::write_counter(std::size_t shard_index, std::size_t slot,
 std::uint32_t PimHashTable::insert_or_increment(const assembly::Kmer& kmer) {
   if (k_ == 0) k_ = kmer.k();
   PIMA_CHECK(kmer.k() == k_, "mixed k within one table");
-  PIMA_CHECK(2 * k_ <= geometry().columns,
+  PIMA_CHECK(2 * k_ <= pool_.geometry().columns,
              "k-mer exceeds row width (max 128 bp)");
 
   const std::size_t shard_index = shard_for(kmer);
@@ -179,7 +153,7 @@ std::uint32_t PimHashTable::insert_or_increment(const assembly::Kmer& kmer) {
 
   // Stage the query into the temp region (MEM_insert of the new query,
   // Fig. 6). The row image is the 2-bit packed k-mer, zero padded.
-  BitVector query(geometry().columns);
+  BitVector query(pool_.geometry().columns);
   query.copy_range_from(kmer.to_sequence().to_bits(0, k_), 0);
   sa.write_row(layout_.temp_row(0), query);
 
@@ -217,7 +191,7 @@ std::optional<std::uint32_t> PimHashTable::lookup(const assembly::Kmer& kmer) {
   Shard& shard = shards_[shard_index];
   dram::Subarray& sa = shard_subarray(shard);
 
-  BitVector query(geometry().columns);
+  BitVector query(pool_.geometry().columns);
   query.copy_range_from(kmer.to_sequence().to_bits(0, k_), 0);
   sa.write_row(layout_.temp_row(0), query);
 
@@ -236,14 +210,14 @@ PimHashTable::peek_slot(std::size_t shard, std::size_t slot) const {
   PIMA_CHECK(slot < layout_.kmer_rows, "slot index out of shard");
   const Shard& sh = shards_[shard];
   if (!sh.occupied[slot] || k_ == 0) return std::nullopt;
-  const dram::Subarray* sa_ptr = backing_subarray_if(sh.subarray_flat);
+  const dram::Subarray* sa_ptr = pool_.subarray_if(sh.subarray_flat);
   PIMA_CHECK(sa_ptr != nullptr, "occupied shard must be instantiated");
   const BitVector& key_row = sa_ptr->peek_row(layout_.kmer_row(slot));
   const auto seq = dna::Sequence::from_bits(key_row, 0, k_);
   const assembly::Kmer km = assembly::Kmer::from_sequence(seq, 0, k_);
   const dram::Subarray* val_ptr =
       policy_ == MappingPolicy::kCentralValues
-          ? backing_subarray_if(central_value_flat_)
+          ? pool_.subarray_if(central_value_flat_)
           : sa_ptr;
   PIMA_CHECK(val_ptr != nullptr, "value array must be instantiated");
   const std::size_t global = policy_ == MappingPolicy::kCentralValues

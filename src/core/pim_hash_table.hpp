@@ -17,7 +17,7 @@
 // vertical PIM_Add (exercised by the graph stage).
 //
 // Every command lands on the owning sub-array's CommandStats, so hash-table
-// construction cost rolls up through dram::Device with full parallelism
+// construction cost rolls up through the device pool with full parallelism
 // accounting.
 #pragma once
 
@@ -47,19 +47,14 @@ enum class MappingPolicy {
 /// Counting hash table materialized in simulated DRAM.
 class PimHashTable {
  public:
-  /// `shards` sub-arrays are taken from `device` starting at flat index
+  /// `shards` sub-arrays are taken from `pool` starting at flat index
   /// `first_subarray`. Capacity = shards × layout.kmer_rows keys. With
   /// MappingPolicy::kCentralValues one extra sub-array (at
-  /// `first_subarray + shards`) holds every counter.
-  PimHashTable(dram::Device& device, std::size_t shards,
-               std::size_t first_subarray = 0,
-               MappingPolicy policy = MappingPolicy::kCorrelated);
-
-  /// Pool-backed table (runtime/shard.hpp): shard s still lives at flat
-  /// index first_subarray + s, but the sub-array is resolved through the
-  /// pool's owner routing — shard_for(kmer) % devices is then exactly the
-  /// paper-style owner = hash(canonical_kmer) % N k-mer distribution.
-  /// Everything else (layout, probe path, extract order) is unchanged.
+  /// `first_subarray + shards`) holds every counter. Shard s lives at flat
+  /// index first_subarray + s, resolved through the pool's owner routing
+  /// (runtime/shard.hpp) — shard_for(kmer) % devices is then exactly the
+  /// paper-style owner = hash(canonical_kmer) % N k-mer distribution. A
+  /// single device is runtime::DevicePool(device, 1).
   PimHashTable(runtime::DevicePool& pool, std::size_t shards,
                std::size_t first_subarray = 0,
                MappingPolicy policy = MappingPolicy::kCorrelated);
@@ -126,13 +121,6 @@ class PimHashTable {
     std::size_t entries = 0;
   };
 
-  void init(std::size_t shards, std::size_t first_subarray,
-            MappingPolicy policy);
-  const dram::Geometry& geometry() const;
-  /// Sub-array behind a logical flat index (device- or pool-backed).
-  dram::Subarray& backing_subarray(std::size_t flat);
-  const dram::Subarray* backing_subarray_if(std::size_t flat) const;
-
   dram::Subarray& shard_subarray(const Shard& s);
   /// Sub-array holding this shard's counters (shard itself when
   /// correlated; the central value array otherwise).
@@ -150,8 +138,7 @@ class PimHashTable {
   void write_counter(std::size_t shard_index, std::size_t slot,
                      std::uint32_t v);
 
-  dram::Device* device_ = nullptr;  ///< exactly one of device_/pool_ set
-  runtime::DevicePool* pool_ = nullptr;
+  runtime::DevicePool& pool_;
   ShardLayout layout_;
   MappingPolicy policy_;
   runtime::RecoveryManager* recovery_ = nullptr;

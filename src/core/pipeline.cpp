@@ -13,7 +13,6 @@
 #include "core/shard_backend.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/procpool.hpp"
-#include "runtime/stats.hpp"
 #include "telemetry/log.hpp"
 #include "telemetry/progress.hpp"
 #include "telemetry/session.hpp"

@@ -95,9 +95,9 @@ class InProcessBackend final : public ShardBackend {
   std::size_t distinct_kmers() override { return table_.distinct_kmers(); }
 
   StageRollUp take_stage_stats() override {
-    StageRollUp r{pool_.roll_up(), pool_.command_roll_up()};
+    const dram::StatsFold fold = pool_.fold();
     pool_.clear_stats();
-    return r;
+    return {fold.stats(), fold.commands()};
   }
 
   dram::Program captured_program() override {
@@ -153,23 +153,6 @@ WorkerInit worker_init(const dram::Device& device, const PipelineOptions& o) {
   return init;
 }
 
-// Every worker's per-sub-array records from one query verb, in ascending
-// flat order. Each flat has exactly one owner, so this is the logical flat
-// order the in-process folds walk.
-template <typename Decode>
-auto gather_by_flat(runtime::ProcSupervisor& sup, const char* op,
-                    Decode decode) {
-  decltype(decode(net::Json{})) records;
-  for (std::size_t d = 0; d < sup.devices(); ++d) {
-    auto part = decode(sup.query(d, verb_request(op)));
-    records.insert(records.end(), std::make_move_iterator(part.begin()),
-                   std::make_move_iterator(part.end()));
-  }
-  std::sort(records.begin(), records.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return records;
-}
-
 class IsolatedBackend final : public ShardBackend {
  public:
   IsolatedBackend(const dram::Device& device, const PipelineOptions& options,
@@ -177,6 +160,7 @@ class IsolatedBackend final : public ShardBackend {
                   std::uint32_t resume_stage)
       : ShardBackend(device.geometry(), options),
         geometry_(device.geometry()),
+        technology_(device.technology()),
         k_(options.k),
         sup_(pool_options(options, fingerprint),
              [init = worker_init(device, options)](std::size_t d) {
@@ -259,15 +243,14 @@ class IsolatedBackend final : public ShardBackend {
   }
 
   StageRollUp take_stage_stats() override {
-    StageRollUp r;
-    for (const auto& [flat, st] :
-         gather_by_flat(sup_, "stats", stats_entries)) {
-      r.device.add_subarray(st);
-      r.commands.merge_serial(st);
-    }
+    dram::StatsFold fold(geometry_.columns, technology_);
+    for (std::size_t d = 0; d < sup_.devices(); ++d)
+      for (const auto& entry :
+           stats_entries(sup_.query(d, verb_request("stats"))))
+        fold.add_subarray(entry.second);
     for (std::size_t d = 0; d < sup_.devices(); ++d)
       sup_.rpc(d, verb_request("clear_stats"));
-    return r;
+    return {fold.stats(), fold.commands()};
   }
 
   void mark_stage_done(std::uint32_t stage) override {
@@ -275,8 +258,18 @@ class IsolatedBackend final : public ShardBackend {
   }
 
   dram::Program captured_program() override {
+    // Each flat has one owner, so sorting every worker's parts by flat
+    // gives the logical flat order of the in-process capture.
+    std::vector<std::pair<std::size_t, dram::Program>> parts;
+    for (std::size_t d = 0; d < sup_.devices(); ++d) {
+      auto part = trace_entries(sup_.query(d, verb_request("trace")));
+      parts.insert(parts.end(), std::make_move_iterator(part.begin()),
+                   std::make_move_iterator(part.end()));
+    }
+    std::sort(parts.begin(), parts.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
     dram::Program program;
-    for (auto& [flat, part] : gather_by_flat(sup_, "trace", trace_entries))
+    for (auto& [flat, part] : parts)
       program.insert(program.end(), std::make_move_iterator(part.begin()),
                      std::make_move_iterator(part.end()));
     return program;
@@ -284,6 +277,7 @@ class IsolatedBackend final : public ShardBackend {
 
  private:
   dram::Geometry geometry_;
+  circuit::Technology technology_;
   std::size_t k_;
   runtime::ProcSupervisor sup_;
 };

@@ -12,10 +12,10 @@
 //     of shard_worker.hpp.
 //
 // Both route k-mers with the same function (hash shard s at flat s, owner
-// = flat % devices, channel = Scheduler::channel_of) and fold stats in
-// ascending logical flat order, so a run is bit-identical whichever backend
-// executed it — which is also why a checkpoint cut under one resumes under
-// the other.
+// = flat % devices, channel = Scheduler::channel_of) and fold stats with
+// dram::StatsFold (integer counts and a max, exact in any order), so a run
+// is bit-identical whichever backend executed it — which is also why a
+// checkpoint cut under one resumes under the other.
 #pragma once
 
 #include <cstddef>
@@ -38,7 +38,9 @@
 
 namespace pima::core {
 
-/// One stage's statistics, folded in logical flat order.
+/// One stage's statistics: StatsFold::stats() and the summed per-kind
+/// record it derives them from, so `device.energy_pj` equals
+/// breakdown_from_stats(commands).total_energy_pj bit for bit.
 struct StageRollUp {
   dram::DeviceStats device;
   dram::CommandStats commands;  ///< per-kind split for the breakdown
@@ -70,7 +72,7 @@ class ShardBackend {
   virtual std::vector<std::pair<assembly::Kmer, std::uint32_t>> extract_shard(
       std::size_t shard) = 0;
   virtual std::size_t distinct_kmers() = 0;
-  /// The stage's stats, folded in logical flat order, then cleared.
+  /// The stage's stats, folded over every sub-array, then cleared.
   virtual StageRollUp take_stage_stats() = 0;
   /// Stage boundary (worker span harvest, journal truncation, shard
   /// checkpoints).

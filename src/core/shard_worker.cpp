@@ -201,8 +201,7 @@ std::vector<std::pair<std::size_t, dram::CommandStats>> stats_entries(
     for (std::size_t i = 0; i < dram::kCommandKindCount && i < counts.size();
          ++i)
       st.counts[i] = static_cast<std::size_t>(counts[i].as_uint64());
-    st.busy_ns = entry.get_number("busy_ns");
-    st.energy_pj = entry.get_number("energy_pj");
+    st.wait_ns = entry.get_uint64("wait_ns");
     out.emplace_back(static_cast<std::size_t>(entry.get_uint64("flat")), st);
   }
   return out;
@@ -221,7 +220,8 @@ std::vector<std::pair<std::size_t, dram::Program>> trace_entries(
 
 ShardWorkerCore::ShardWorkerCore(const net::Json& init)
     : init_(worker_init_from_json(init)),
-      device_(init_.geometry, init_.technology) {
+      device_(init_.geometry, init_.technology),
+      pool_(device_, 1) {
   runtime::EngineOptions eopt;
   eopt.channels = init_.channels;
   eopt.queue_capacity = init_.queue_capacity;
@@ -232,7 +232,7 @@ ShardWorkerCore::ShardWorkerCore(const net::Json& init)
   // responsive (heartbeats, liveness) while kernels execute.
   eopt.force_worker = true;
   engine_ = std::make_unique<runtime::Engine>(device_, eopt);
-  table_ = std::make_unique<PimHashTable>(device_, init_.hash_shards, 0,
+  table_ = std::make_unique<PimHashTable>(pool_, init_.hash_shards, 0,
                                           MappingPolicy::kCorrelated);
   table_->bind_key_length(init_.k);
 }
@@ -407,15 +407,14 @@ net::Json ShardWorkerCore::op_stats() {
     const dram::Subarray* sa = device_.subarray_if(flat);
     if (sa == nullptr) continue;
     const dram::CommandStats& st = sa->stats();
-    if (st.total_commands() == 0) continue;  // identity under both folds
+    if (st.total_commands() == 0) continue;  // identity of StatsFold
     net::Json entry = net::Json::object();
     entry.set("flat", static_cast<std::uint64_t>(flat));
     net::Json counts = net::Json::array();
     for (const std::size_t c : st.counts)
       counts.push_back(net::Json(static_cast<std::uint64_t>(c)));
     entry.set("counts", std::move(counts));
-    entry.set("busy_ns", st.busy_ns);
-    entry.set("energy_pj", st.energy_pj);
+    entry.set("wait_ns", st.wait_ns);
     subarrays.push_back(std::move(entry));
   }
   net::Json resp = ok_response();

@@ -20,7 +20,8 @@
 //                 walk order; each arrives as a sparse edge list in kernel
 //                 orientation and its engine task renders the adjacency
 //                 rows and runs pim_column_sums on its sub-array
-//   stats         per-sub-array CommandStats of every touched sub-array
+//   stats         per-sub-array CommandStats (per-kind counts + wait_ns)
+//                 of every touched sub-array
 //   clear_stats   stage-boundary statistics reset
 //   trace         per-sub-array replay programs (oracle capture)
 //   telemetry     cumulative span-buffer export for trace stitching
@@ -52,6 +53,7 @@
 #include "dram/isa.hpp"
 #include "net/json.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/shard.hpp"
 
 namespace pima::core {
 
@@ -132,6 +134,7 @@ class ShardWorkerCore {
 
   WorkerInit init_;
   dram::Device device_;
+  runtime::DevicePool pool_;  ///< device_ alone, for the hash table
   std::unique_ptr<runtime::Engine> engine_;
   std::unique_ptr<PimHashTable> table_;
   bool shutdown_ = false;

@@ -12,7 +12,8 @@ std::vector<ReadPair> sample_read_pairs(const Sequence& genome,
   PIMA_CHECK(params.read_length > 0, "read length must be positive");
   PIMA_CHECK(params.insert_mean >= 2.0 * static_cast<double>(params.read_length),
              "insert must fit two reads");
-  PIMA_CHECK(genome.size() > params.insert_mean + 6.0 * params.insert_sd,
+  PIMA_CHECK(static_cast<double>(genome.size()) >
+                 params.insert_mean + 6.0 * params.insert_sd,
              "genome shorter than the insert distribution");
 
   std::size_t count = params.pair_count;

@@ -115,23 +115,18 @@ inline double command_energy_pj(CommandKind k, std::size_t columns,
   return 0.0;
 }
 
-/// Accumulated command statistics for one sub-array (or rolled up).
+/// Command record of one sub-array (or summed over many): how many
+/// commands of each kind ran, plus idle time on the command stream. Only
+/// integers, so summing records is exact in any order; simulated time and
+/// energy are derived from the counts by command_cost().
 struct CommandStats {
   std::size_t counts[kCommandKindCount] = {};
-  double busy_ns = 0.0;    ///< serialized time on this resource
-  double energy_pj = 0.0;
-
-  void record(CommandKind k, double latency_ns, double energy) {
-    ++counts[static_cast<std::size_t>(k)];
-    busy_ns += latency_ns;
-    energy_pj += energy;
-  }
+  std::uint64_t wait_ns = 0;  ///< idle time (recovery backoff), no command
 
   void merge_serial(const CommandStats& o) {
     for (std::size_t i = 0; i < kCommandKindCount; ++i)
       counts[i] += o.counts[i];
-    busy_ns += o.busy_ns;
-    energy_pj += o.energy_pj;
+    wait_ns += o.wait_ns;
   }
 
   std::size_t total_commands() const {
@@ -139,6 +134,31 @@ struct CommandStats {
     for (const auto c : counts) n += c;
     return n;
   }
+
+  bool operator==(const CommandStats&) const = default;
 };
+
+/// Simulated time and energy of a command record.
+struct CommandCost {
+  double busy_ns = 0.0;    ///< serialized time on the resource, waits included
+  double energy_pj = 0.0;
+};
+
+/// The one place simulated time and energy come from: Σ counts·latency
+/// (+ waits) and Σ counts·energy, summed in command-kind order, for rows
+/// of `columns` bits.
+inline CommandCost command_cost(const CommandStats& s, std::size_t columns,
+                                const circuit::Technology& tech) {
+  CommandCost c;
+  for (std::size_t k = 0; k < kCommandKindCount; ++k) {
+    if (s.counts[k] == 0) continue;
+    const auto kind = static_cast<CommandKind>(k);
+    const auto n = static_cast<double>(s.counts[k]);
+    c.busy_ns += n * command_latency_ns(kind, tech.timing);
+    c.energy_pj += n * command_energy_pj(kind, columns, tech.energy);
+  }
+  c.busy_ns += static_cast<double>(s.wait_ns);
+  return c;
+}
 
 }  // namespace pima::dram

@@ -10,15 +10,6 @@ double DeviceStats::dynamic_power_w() const {
   return power_watts(energy_pj, time_ns);
 }
 
-void DeviceStats::add_subarray(const CommandStats& st) {
-  if (st.total_commands() == 0) return;
-  ++subarrays_used;
-  time_ns = std::max(time_ns, st.busy_ns);
-  serial_ns += st.busy_ns;
-  energy_pj += st.energy_pj;
-  commands += st.total_commands();
-}
-
 DeviceStats& DeviceStats::operator+=(const DeviceStats& o) {
   time_ns += o.time_ns;
   serial_ns += o.serial_ns;
@@ -26,6 +17,30 @@ DeviceStats& DeviceStats::operator+=(const DeviceStats& o) {
   commands += o.commands;
   subarrays_used = std::max(subarrays_used, o.subarrays_used);
   return *this;
+}
+
+void StatsFold::add_subarray(const CommandStats& st) {
+  if (st.total_commands() == 0) return;
+  ++subarrays_used_;
+  time_ns_ = std::max(time_ns_, command_cost(st, columns_, tech_).busy_ns);
+  commands_.merge_serial(st);
+}
+
+void StatsFold::add(const StatsFold& o) {
+  subarrays_used_ += o.subarrays_used_;
+  time_ns_ = std::max(time_ns_, o.time_ns_);
+  commands_.merge_serial(o.commands_);
+}
+
+DeviceStats StatsFold::stats() const {
+  const CommandCost total = command_cost(commands_, columns_, tech_);
+  DeviceStats s;
+  s.time_ns = time_ns_;
+  s.serial_ns = total.busy_ns;
+  s.energy_pj = total.energy_pj;
+  s.commands = commands_.total_commands();
+  s.subarrays_used = subarrays_used_;
+  return s;
 }
 
 Device::Device(const Geometry& geometry, const circuit::Technology& tech)
@@ -64,18 +79,11 @@ std::size_t Device::instantiated_count() const {
                     [](const auto& p) { return p != nullptr; }));
 }
 
-DeviceStats Device::roll_up() const {
-  DeviceStats s{};
+StatsFold Device::fold() const {
+  StatsFold f(geom_.columns, tech_);
   for (const auto& sa : subarrays_)
-    if (sa) s.add_subarray(sa->stats());
-  return s;
-}
-
-CommandStats Device::command_roll_up() const {
-  CommandStats total{};
-  for (const auto& sa : subarrays_)
-    if (sa) total.merge_serial(sa->stats());
-  return total;
+    if (sa) f.add_subarray(sa->stats());
+  return f;
 }
 
 void Device::clear_stats() {

@@ -4,6 +4,8 @@
 // Sub-arrays compute independently — that is the whole point of the
 // platform — so device time is the maximum of the per-sub-array busy times
 // of the sub-arrays that participated, while device energy is the sum.
+// Roll-ups add integer command counts and take a max (StatsFold), so they
+// give the same bits in any sub-array order.
 // Sub-arrays are instantiated lazily: a full device has 2048 sub-arrays but
 // a given workload usually touches a few.
 #pragma once
@@ -29,11 +31,6 @@ struct DeviceStats {
   /// Average dynamic power in watts over the rolled-up interval.
   double dynamic_power_w() const;
 
-  /// Folds one sub-array's stats in — the per-sub-array step of every
-  /// roll-up (sub-arrays run in parallel: time is the max, the rest add).
-  /// Zero-command sub-arrays are the identity.
-  void add_subarray(const CommandStats& st);
-
   /// Serial composition: phases executed back to back. Times and energy
   /// add; the sub-array footprint is the widest phase.
   DeviceStats& operator+=(const DeviceStats& o);
@@ -45,6 +42,37 @@ inline DeviceStats operator+(DeviceStats a, const DeviceStats& b) {
   a += b;
   return a;
 }
+
+/// Roll-up of sub-arrays that ran in parallel, kept exact: summed per-kind
+/// counts and waits, the largest per-sub-array busy time, and the number
+/// of sub-arrays that ran a command. Every step is an integer add or a
+/// max, so any folding order — flat, per device, shuffled — gives the same
+/// bits; the reported doubles are derived once, by stats().
+class StatsFold {
+ public:
+  StatsFold(std::size_t columns, const circuit::Technology& tech)
+      : columns_(columns), tech_(tech) {}
+
+  /// Folds one sub-array's record in. Zero-command sub-arrays are the
+  /// identity.
+  void add_subarray(const CommandStats& st);
+  /// Joins a fold over a disjoint set of sub-arrays (another device).
+  void add(const StatsFold& o);
+
+  /// The summed per-kind record (feed it to breakdown_from_stats for the
+  /// per-kind split).
+  const CommandStats& commands() const { return commands_; }
+  /// time: the critical path; serial time and energy: command_cost() of
+  /// the summed record.
+  DeviceStats stats() const;
+
+ private:
+  std::size_t columns_;
+  circuit::Technology tech_;
+  CommandStats commands_;
+  double time_ns_ = 0.0;
+  std::size_t subarrays_used_ = 0;
+};
 
 class Device {
  public:
@@ -64,14 +92,10 @@ class Device {
 
   std::size_t instantiated_count() const;
 
-  /// Rolls up stats over all instantiated sub-arrays.
-  DeviceStats roll_up() const;
-
-  /// Folds every instantiated sub-array's CommandStats in flat-index order
-  /// (serial merge). Feed through breakdown_from_stats() for the per-kind
-  /// energy/latency split — telemetry exports derive from this so they can
-  /// never drift from the Fig. 9-style tables.
-  CommandStats command_roll_up() const;
+  /// Folds every instantiated sub-array's command record.
+  StatsFold fold() const;
+  /// fold().stats().
+  DeviceStats roll_up() const { return fold().stats(); }
 
   /// Clears every sub-array's command statistics (contents preserved).
   void clear_stats();

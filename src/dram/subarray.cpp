@@ -38,8 +38,6 @@ void Subarray::record(CommandKind k, Opcode op, RowAddr a, RowAddr b,
     if (const auto cell = fault_->retention_target())
       rows_[cell->row].set(cell->col, !rows_[cell->row].get(cell->col));
   }
-  const double latency = command_latency_ns(k, tech_.timing);
-  const double energy = command_energy_pj(k, geom_.columns, tech_.energy);
   if (trace_ != nullptr) {
     TraceEntry e;
     e.kind = k;
@@ -48,13 +46,13 @@ void Subarray::record(CommandKind k, Opcode op, RowAddr a, RowAddr b,
     e.row_b = b;
     e.row_c = c;
     e.dst = dst;
-    e.start_ns = stats_.busy_ns;
-    e.latency_ns = latency;
-    e.energy_pj = energy;
+    e.start_ns = cost().busy_ns;
+    e.latency_ns = command_latency_ns(k, tech_.timing);
+    e.energy_pj = command_energy_pj(k, geom_.columns, tech_.energy);
     if (payload != nullptr) e.payload = *payload;
     trace_->record(e);
   }
-  stats_.record(k, latency, energy);
+  ++stats_.counts[static_cast<std::size_t>(k)];
 }
 
 const BitVector& Subarray::read_row(RowAddr r) {
@@ -172,7 +170,7 @@ void Subarray::reset_latch() {
     TraceEntry e;
     e.kind = CommandKind::kLatchReset;
     e.op = Opcode::kResetLatch;
-    e.start_ns = stats_.busy_ns;
+    e.start_ns = cost().busy_ns;
     trace_->record(e);
   }
   latch_.fill(false);

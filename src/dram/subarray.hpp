@@ -18,10 +18,13 @@
 // Multi-row activation is only legal on computation rows (x1..x8) — the
 // modified row decoder enforces this — while AAP copies may address any row.
 //
-// Every operation records its latency and energy into CommandStats.
+// Every operation counts one command of its kind into CommandStats; its
+// latency and energy are derived from the counts (command_cost), and are
+// computed per command only for an attached trace sink.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -74,7 +77,7 @@ class Subarray {
   /// Models idle time on this sub-array's command stream (retry backoff):
   /// advances the busy clock without issuing a command or spending dynamic
   /// energy.
-  void wait_ns(double ns) { stats_.busy_ns += ns; }
+  void wait_ns(std::uint64_t ns) { stats_.wait_ns += ns; }
 
   // ---- PIM primitives (each is one costed command) ----
 
@@ -132,6 +135,10 @@ class Subarray {
   void compare_rows(RowAddr a, RowAddr b, RowAddr result_row);
 
   const CommandStats& stats() const { return stats_; }
+  /// Simulated busy time and energy of the recorded commands.
+  CommandCost cost() const {
+    return command_cost(stats_, geom_.columns, tech_);
+  }
   void clear_stats() { stats_ = CommandStats{}; }
 
   /// Attaches a trace sink; every subsequent command is recorded into it

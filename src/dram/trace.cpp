@@ -117,15 +117,16 @@ EnergyBreakdown breakdown_from_trace(const std::vector<TraceEntry>& trace) {
 EnergyBreakdown breakdown_from_stats(const CommandStats& stats,
                                      std::size_t columns,
                                      const circuit::Technology& tech) {
+  // Each row is command_cost() of that kind alone, and finish() sums the
+  // rows in kind order — the order command_cost() sums them — so the total
+  // equals command_cost(stats).energy_pj bit for bit.
   std::vector<EnergyBreakdown::Row> acc(kCommandKindCount);
   for (std::size_t k = 0; k < kCommandKindCount; ++k) {
-    const auto kind = static_cast<CommandKind>(k);
-    acc[k].kind = kind;
-    acc[k].count = stats.counts[k];
-    acc[k].time_ns = static_cast<double>(stats.counts[k]) *
-                     command_latency_ns(kind, tech.timing);
-    acc[k].energy_pj = static_cast<double>(stats.counts[k]) *
-                       command_energy_pj(kind, columns, tech.energy);
+    CommandStats one;
+    one.counts[k] = stats.counts[k];
+    const CommandCost cost = command_cost(one, columns, tech);
+    acc[k] = {static_cast<CommandKind>(k), stats.counts[k], cost.energy_pj,
+              cost.busy_ns};
   }
   return finish(std::move(acc));
 }

@@ -79,8 +79,10 @@ struct EnergyBreakdown {
 
 EnergyBreakdown breakdown_from_trace(const std::vector<TraceEntry>& trace);
 
-/// Breakdown from accumulated CommandStats (no trace needed): uses the
-/// technology's per-command cost model for the energy/time split.
+/// Breakdown from accumulated CommandStats (no trace needed): each row is
+/// command_cost() of one kind, and total_energy_pj equals
+/// command_cost(stats).energy_pj bit for bit (waits are not commands, so
+/// total_time_ns leaves them out).
 EnergyBreakdown breakdown_from_stats(const CommandStats& stats,
                                      std::size_t columns,
                                      const circuit::Technology& tech);

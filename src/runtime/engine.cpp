@@ -484,22 +484,4 @@ void Engine::export_metrics(telemetry::MetricsRegistry& registry) const {
   }
 }
 
-std::vector<dram::DeviceStats> Engine::channel_roll_up() const {
-  std::vector<dram::DeviceStats> out(channels());
-  const std::size_t total = device_.geometry().total_subarrays();
-  for (std::size_t flat = 0; flat < total; ++flat) {
-    const dram::Subarray* sa = device_.subarray_if(flat);
-    if (!sa) continue;
-    const auto& st = sa->stats();
-    if (st.total_commands() == 0) continue;
-    dram::DeviceStats& s = out[channel_of(flat)];
-    ++s.subarrays_used;
-    s.time_ns = std::max(s.time_ns, st.busy_ns);
-    s.serial_ns += st.busy_ns;
-    s.energy_pj += st.energy_pj;
-    s.commands += st.total_commands();
-  }
-  return out;
-}
-
 }  // namespace pima::runtime

@@ -165,11 +165,6 @@ class Engine {
   /// new submits afterwards, so a success path running it is a no-op.
   void quiesce() noexcept;
 
-  /// Per-channel roll-up over the channel's instantiated sub-arrays
-  /// (time = max over the channel's sub-arrays, like Device::roll_up).
-  /// Call only when drained.
-  std::vector<dram::DeviceStats> channel_roll_up() const;
-
   /// Exports engine counters into `registry` in channel index order
   /// (host-class: task routing depends on the channel count). Call when
   /// drained; idempotent only in the sense that calling twice adds twice.

@@ -4,8 +4,8 @@
 // PR 8's DevicePool shards a run over N simulated devices inside one
 // address space; this layer moves each shard into its own child process
 // (`pima_devd`) so a crashed, wedged, or chaos-injected device worker
-// cannot take the assembly down with it. The parent keeps the PR-8
-// contract — owner = flat % devices, folds in logical flat order — and
+// cannot take the assembly down with it. The parent keeps the pool's
+// contract — owner = flat % devices, order-free integer stats folds — and
 // owns the robustness machinery:
 //
 //   * transport: one socketpair per worker, newline-delimited JSON framed
@@ -34,9 +34,10 @@
 //
 // Determinism: a worker's device state is a pure function of its request
 // journal, and the controller (core::IsolatedBackend) merges cross-shard
-// data in plain orders — shard order, program order, logical flat order —
-// so a run with K worker crashes is bit-identical to a crash-free run
-// (and to the in-process run).
+// data in plain orders — shard order, program order, logical flat order
+// for traces — and sums stats as integer counts, so a run with K worker
+// crashes is bit-identical to a crash-free run (and to the in-process
+// run).
 #pragma once
 
 #include <sys/types.h>

@@ -1,7 +1,5 @@
 #include "runtime/recovery.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "runtime/shard.hpp"
@@ -28,14 +26,14 @@ void bump_live(const char* name, const char* help) {
 
 }  // namespace
 
-double recovery_backoff_ns(const RecoveryOptions& options,
-                           std::size_t attempt) {
-  // ldexp saturates to +inf for huge exponents instead of overflowing a
-  // shift, so the clamp is exact at every attempt count.
-  const double exponential =
-      std::ldexp(options.backoff_base_ns,
-                 attempt > 1024 ? 1024 : static_cast<int>(attempt));
-  return std::min(options.backoff_cap_ns, exponential);
+std::uint64_t recovery_backoff_ns(const RecoveryOptions& options,
+                                  std::size_t attempt) {
+  // base << attempt ≤ cap exactly when base ≤ cap >> attempt, so the shift
+  // runs only when it cannot overflow.
+  if (attempt >= 64 ||
+      options.backoff_base_ns > (options.backoff_cap_ns >> attempt))
+    return options.backoff_cap_ns;
+  return options.backoff_base_ns << attempt;
 }
 
 std::optional<RecoveryMode> parse_recovery_mode(std::string_view s) {
@@ -207,29 +205,10 @@ void RecoveryExecutor::tra_majority(dram::RowAddr a, dram::RowAddr b,
   run_checked({a, b, c}, 3, dst, golden);
 }
 
-RecoveryManager::RecoveryManager(dram::Device& device,
-                                 const RecoveryOptions& options)
-    : device_(&device), options_(options) {
-  executors_.resize(device.geometry().total_subarrays());
-}
-
 RecoveryManager::RecoveryManager(DevicePool& pool,
                                  const RecoveryOptions& options)
-    : pool_(&pool), options_(options) {
+    : pool_(pool), options_(options) {
   executors_.resize(pool.total_subarrays());
-}
-
-dram::Subarray& RecoveryManager::resolve_subarray(std::size_t flat) {
-  return pool_ ? pool_->subarray(flat) : device_->subarray(flat);
-}
-
-const dram::Subarray* RecoveryManager::resolve_subarray_if(
-    std::size_t flat) const {
-  return pool_ ? pool_->subarray_if(flat) : device_->subarray_if(flat);
-}
-
-dram::InjectionCounters RecoveryManager::injection_total() const {
-  return pool_ ? pool_->injection_roll_up() : device_->injection_roll_up();
 }
 
 RecoveryExecutor& RecoveryManager::executor_for(std::size_t subarray_flat) {
@@ -237,7 +216,7 @@ RecoveryExecutor& RecoveryManager::executor_for(std::size_t subarray_flat) {
              "sub-array index out of device");
   if (!executors_[subarray_flat])
     executors_[subarray_flat] = std::make_unique<RecoveryExecutor>(
-        resolve_subarray(subarray_flat), options_);
+        pool_.subarray(subarray_flat), options_);
   return *executors_[subarray_flat];
 }
 
@@ -254,7 +233,7 @@ std::vector<FaultStats> RecoveryManager::per_channel_stats(
   for (std::size_t flat = 0; flat < executors_.size(); ++flat) {
     FaultStats& s = out[scheduler.channel_of(flat)];
     if (executors_[flat]) s += executors_[flat]->stats();
-    const dram::Subarray* sa = resolve_subarray_if(flat);
+    const dram::Subarray* sa = pool_.subarray_if(flat);
     if (sa != nullptr && sa->fault_injector() != nullptr)
       s.injected += sa->fault_injector()->counters().total_flips();
   }
@@ -265,7 +244,7 @@ FaultStats RecoveryManager::roll_up() const {
   FaultStats total;
   for (const auto& ex : executors_)
     if (ex) total += ex->stats();
-  total.injected = injection_total().total_flips();
+  total.injected = pool_.injection_roll_up().total_flips();
   return total;
 }
 
@@ -302,7 +281,7 @@ void RecoveryManager::export_metrics(
   registry
       .counter("pima_fault_injected_total",
                "corrupted columns injected (ground truth)")
-      .add(static_cast<double>(injection_total().total_flips()));
+      .add(static_cast<double>(pool_.injection_roll_up().total_flips()));
 }
 
 }  // namespace pima::runtime

@@ -33,12 +33,12 @@
 //
 // Every decision draws only on per-sub-array state, so fault-aware runs
 // remain deterministic in (seed, command sequence) for any channel count;
-// per-channel FaultStats fold through the same deterministic reduction as
-// DeviceStats.
+// FaultStats are integer counters, so their folds are exact in any order.
 #pragma once
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -50,7 +50,7 @@
 
 namespace pima::runtime {
 
-class DevicePool;  // runtime/shard.hpp — recovery spans a sharded pool too
+class DevicePool;  // runtime/shard.hpp
 
 enum class RecoveryMode {
   kOff,    ///< execute unverified (faults land in the results)
@@ -75,12 +75,12 @@ struct RecoveryOptions {
   /// Re-executions after the first detected failure of one op.
   std::size_t max_retries = 3;
   /// Idle wait before retry k is backoff_base_ns · 2^k (exponential),
-  /// clamped to backoff_cap_ns.
-  double backoff_base_ns = 100.0;
+  /// clamped to backoff_cap_ns. Integral ns, like CommandStats::wait_ns.
+  std::uint64_t backoff_base_ns = 100;
   /// Upper bound of one backoff wait. Without the clamp, large
   /// max_retries values would shift the base past 2^63 (overflow) or park
   /// a sub-array for absurd simulated aeons.
-  double backoff_cap_ns = 1e6;  // 1 ms of simulated time
+  std::uint64_t backoff_cap_ns = 1'000'000;  // 1 ms of simulated time
   /// Failures blamed on one computation row before it is remapped.
   std::size_t weak_row_threshold = 4;
   /// Detected failures on one sub-array before it degrades to host-side
@@ -90,8 +90,8 @@ struct RecoveryOptions {
 
 /// The backoff wait before retry `attempt`: backoff_base_ns · 2^attempt,
 /// clamped to backoff_cap_ns (overflow-safe for any attempt count).
-double recovery_backoff_ns(const RecoveryOptions& options,
-                           std::size_t attempt);
+std::uint64_t recovery_backoff_ns(const RecoveryOptions& options,
+                                  std::size_t attempt);
 
 /// Per-channel (or rolled-up) recovery statistics.
 struct FaultStats {
@@ -113,8 +113,7 @@ inline FaultStats operator+(FaultStats a, const FaultStats& b) {
   return a;
 }
 
-/// Folds per-channel FaultStats in channel order (deterministic, like
-/// reduce_parallel for DeviceStats — counters simply add).
+/// Folds per-channel FaultStats (integer counters: any order is exact).
 FaultStats reduce_fault_stats(const std::vector<FaultStats>& parts);
 
 /// Verified execution of critical in-array ops on one sub-array.
@@ -177,11 +176,10 @@ class RecoveryExecutor {
 /// needed, exactly like dram::Device's lazy sub-array creation.
 class RecoveryManager {
  public:
-  RecoveryManager(dram::Device& device, const RecoveryOptions& options);
-  /// Pool-backed manager: executors resolve sub-arrays through the pool's
-  /// owner routing, so one manager covers every shard. The determinism
-  /// story is unchanged — executors are per logical flat, and FaultStats
-  /// counters are integral, so folds commute exactly.
+  /// Executors resolve sub-arrays through the pool's owner routing, so one
+  /// manager covers every shard (a single device is a one-device pool).
+  /// Executors are per logical flat, and FaultStats counters are integral,
+  /// so folds commute exactly.
   RecoveryManager(DevicePool& pool, const RecoveryOptions& options);
 
   const RecoveryOptions& options() const { return options_; }
@@ -205,12 +203,7 @@ class RecoveryManager {
   void export_metrics(telemetry::MetricsRegistry& registry) const;
 
  private:
-  dram::Subarray& resolve_subarray(std::size_t flat);
-  const dram::Subarray* resolve_subarray_if(std::size_t flat) const;
-  dram::InjectionCounters injection_total() const;
-
-  dram::Device* device_ = nullptr;  ///< exactly one of device_/pool_ is set
-  DevicePool* pool_ = nullptr;
+  DevicePool& pool_;
   RecoveryOptions options_;
   std::vector<std::unique_ptr<RecoveryExecutor>> executors_;
 };

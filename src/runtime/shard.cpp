@@ -44,28 +44,10 @@ std::size_t DevicePool::instantiated_count() const {
   return n;
 }
 
-// The folds below iterate logical flat indices 0..total-1 and apply the
-// exact per-sub-array steps of the corresponding Device fold. A sharded
-// run instantiates each flat only inside its owner, so visiting owners in
-// logical order reproduces the single-device iteration — including the
-// floating-point accumulation order.
-dram::DeviceStats DevicePool::roll_up() const {
-  dram::DeviceStats s{};
-  const std::size_t total = total_subarrays();
-  for (std::size_t flat = 0; flat < total; ++flat)
-    if (const dram::Subarray* sa = subarray_if(flat))
-      s.add_subarray(sa->stats());
-  return s;
-}
-
-dram::CommandStats DevicePool::command_roll_up() const {
-  dram::CommandStats total{};
-  const std::size_t n = total_subarrays();
-  for (std::size_t flat = 0; flat < n; ++flat) {
-    const dram::Subarray* sa = subarray_if(flat);
-    if (sa) total.merge_serial(sa->stats());
-  }
-  return total;
+dram::StatsFold DevicePool::fold() const {
+  dram::StatsFold f = primary_.fold();
+  for (const auto& dev : extras_) f.add(dev->fold());
+  return f;
 }
 
 dram::InjectionCounters DevicePool::injection_roll_up() const {

@@ -19,10 +19,11 @@
 //     on the device count: a program is split by owner in program order
 //     (ShardPlan::split), the k-mer count shuffle concatenates the hash
 //     shards in shard order, and contigs stay in walk order.
-//   * Every stat/metric fold iterates *logical* flat order 0..total-1
-//     across the pool — the identical double-precision fold Device::roll_up
-//     performs — so roll-ups, Prometheus model snapshots and checkpoints
-//     are bitwise equal to the single-device run.
+//   * Stats folds add integer command counts and take a max of per-sub-
+//     array busy times (dram::StatsFold), so summing per device gives the
+//     single-device roll-up bit for bit; roll-ups, Prometheus model
+//     snapshots and checkpoints are bitwise equal to the single-device run.
+//     Only the trace capture (captured_program) walks logical flat order.
 #pragma once
 
 #include <algorithm>
@@ -97,14 +98,11 @@ class DevicePool {
 
   std::size_t instantiated_count() const;
 
-  /// Pool-wide roll-up folded in *logical* flat order — the identical
-  /// fold (and therefore identical doubles) as Device::roll_up on a
-  /// single device that ran the same commands.
-  dram::DeviceStats roll_up() const;
-
-  /// Per-kind command stats folded in logical flat order (see
-  /// Device::command_roll_up).
-  dram::CommandStats command_roll_up() const;
+  /// Every device's StatsFold joined — equal, bit for bit, to
+  /// Device::fold() of one device that ran the same commands.
+  dram::StatsFold fold() const;
+  /// fold().stats().
+  dram::DeviceStats roll_up() const { return fold().stats(); }
 
   /// Injection counters folded over every device (integral adds).
   dram::InjectionCounters injection_roll_up() const;

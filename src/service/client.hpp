@@ -9,8 +9,8 @@
 #include <functional>
 #include <string>
 
-#include "service/json.hpp"
-#include "service/socket.hpp"
+#include "net/json.hpp"
+#include "net/socket.hpp"
 
 namespace pima::service {
 
@@ -25,21 +25,22 @@ class Client {
 
   /// One request, one response line. Throws IoError if the daemon hangs
   /// up before responding.
-  Json request(const Json& req);
+  net::Json request(const net::Json& req);
 
   /// One request, streamed responses (`status --follow`): `on_line` is
   /// called per response object until the daemon closes the stream or
   /// returns false from the callback. Returns the last response seen.
-  Json stream(const Json& req, const std::function<bool(const Json&)>& on_line);
+  net::Json stream(const net::Json& req,
+                   const std::function<bool(const net::Json&)>& on_line);
 
  private:
-  Client(ScopedFd fd, double timeout_s)
+  Client(net::ScopedFd fd, double timeout_s)
       : fd_(std::move(fd)), channel_(fd_.get()) {
     channel_.set_deadline(timeout_s);
   }
 
-  ScopedFd fd_;
-  LineChannel channel_;
+  net::ScopedFd fd_;
+  net::LineChannel channel_;
 };
 
 }  // namespace pima::service

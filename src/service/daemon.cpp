@@ -79,8 +79,8 @@ void validate_idempotency_key(const std::string& key) {
   }
 }
 
-Json error_response(const char* type, const std::string& message) {
-  Json j = Json::object();
+net::Json error_response(const char* type, const std::string& message) {
+  net::Json j = net::Json::object();
   j.set("ok", false);
   j.set("error", std::string(type));
   j.set("message", message);
@@ -318,8 +318,8 @@ void Daemon::run_job(JobEntry& entry) {
   maybe_dispatch();  // a finished job may unblock the queue head
 }
 
-Json Daemon::status_json(const JobEntry& entry) const {
-  Json j = Json::object();
+net::Json Daemon::status_json(const JobEntry& entry) const {
+  net::Json j = net::Json::object();
   j.set("ok", true);
   j.set("job", entry.record.id);
   j.set("state", std::string(to_string(entry.record.state)));
@@ -339,7 +339,7 @@ Json Daemon::status_json(const JobEntry& entry) const {
   return j;
 }
 
-Json Daemon::verb_submit(const Json& request) {
+net::Json Daemon::verb_submit(const net::Json& request) {
   const JobSpec spec = JobSpec::from_json(request);  // validates
   const std::string idem_key = request.get_string("idempotency_key");
   validate_idempotency_key(idem_key);
@@ -360,7 +360,7 @@ Json Daemon::verb_submit(const Json& request) {
                    "submits answered by an existing job via idempotency_key",
                    {}, telemetry::MetricClass::kHost)
           .increment();
-      Json response = status_json(*jobs_.at(hit->second));
+      net::Json response = status_json(*jobs_.at(hit->second));
       response.set("deduped", true);
       return response;
     }
@@ -404,14 +404,14 @@ Json Daemon::verb_submit(const Json& request) {
   }
   persist(*entry);  // key lands in job.json BEFORE the index — crash-safe
   if (!idem_key.empty()) idem_index_.emplace(idem_key, id);
-  Json response = status_json(*entry);
+  net::Json response = status_json(*entry);
   jobs_.emplace(id, std::move(entry));
   maybe_dispatch();
   return response;
 }
 
-Json Daemon::verb_status(const Json& request, LineChannel& channel,
-                         bool& close) {
+net::Json Daemon::verb_status(const net::Json& request,
+                              net::LineChannel& channel, bool& close) {
   const std::string id = request.get_string("job");
   const bool follow = request.get_bool("follow", false);
   std::unique_lock<std::mutex> lock(mutex_);
@@ -460,14 +460,14 @@ Json Daemon::verb_status(const Json& request, LineChannel& channel,
                        entry.record.stages_done != last_stages))
     send_unlocked(status_json(entry).dump());
   close = true;
-  return Json();  // null sentinel: responses already streamed
+  return net::Json();  // null sentinel: responses already streamed
 }
 
-Json Daemon::verb_result(const Json& request) {
+net::Json Daemon::verb_result(const net::Json& request) {
   const std::string id = request.get_string("job");
   const bool fetch = request.get_bool("fetch", false);
   std::string contigs_path;
-  Json response;
+  net::Json response;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = jobs_.find(id);
@@ -475,7 +475,7 @@ Json Daemon::verb_result(const Json& request) {
       return error_response("NotFound", "no such job: " + id);
     const JobEntry& entry = *it->second;
     if (entry.record.state != JobState::kDone) {
-      Json err = error_response(
+      net::Json err = error_response(
           "JobNotDone", "job " + id + " is " + to_string(entry.record.state));
       err.set("state", std::string(to_string(entry.record.state)));
       return err;
@@ -494,7 +494,7 @@ Json Daemon::verb_result(const Json& request) {
   return response;
 }
 
-Json Daemon::verb_cancel(const Json& request) {
+net::Json Daemon::verb_cancel(const net::Json& request) {
   const std::string id = request.get_string("job");
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = jobs_.find(id);
@@ -521,11 +521,11 @@ Json Daemon::verb_cancel(const Json& request) {
   return status_json(entry);
 }
 
-Json Daemon::verb_list() const {
+net::Json Daemon::verb_list() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  Json arr = Json::array();
+  net::Json arr = net::Json::array();
   for (const auto& [id, entry] : jobs_) arr.push_back(status_json(*entry));
-  Json j = Json::object();
+  net::Json j = net::Json::object();
   j.set("ok", true);
   j.set("jobs", arr);
   return j;
@@ -566,9 +566,9 @@ std::string Daemon::aggregate_metrics(bool as_json) {
   return as_json ? aggregate.json_snapshot() : aggregate.prometheus_text();
 }
 
-Json Daemon::verb_metrics(const Json& request) {
+net::Json Daemon::verb_metrics(const net::Json& request) {
   const std::string format = request.get_string("format", "prometheus");
-  Json j = Json::object();
+  net::Json j = net::Json::object();
   j.set("ok", true);
   j.set("format", format);
   if (format == "prometheus") {
@@ -583,13 +583,13 @@ Json Daemon::verb_metrics(const Json& request) {
   return j;
 }
 
-Json Daemon::verb_drain() {
+net::Json Daemon::verb_drain() {
   std::unique_lock<std::mutex> lock(mutex_);
   draining_ = true;
   cv_.wait(lock, [this] {
     return (queue_.empty() && running_jobs_ == 0) || stopping();
   });
-  Json j = Json::object();
+  net::Json j = net::Json::object();
   j.set("ok", true);
   j.set("drained", queue_.empty() && running_jobs_ == 0);
   std::uint64_t done = 0, failed = 0, cancelled = 0;
@@ -607,16 +607,17 @@ Json Daemon::verb_drain() {
   return j;
 }
 
-bool Daemon::dispatch_verb(const Json& request, LineChannel& channel) {
+bool Daemon::dispatch_verb(const net::Json& request,
+                           net::LineChannel& channel) {
   std::string verb;
-  Json response;
+  net::Json response;
   bool close = false;
   try {
     verb = request.get_string("verb");
     if (verb.empty())
       throw InputFormatError("request is missing the 'verb' field");
     if (verb == "ping") {
-      response = Json::object();
+      response = net::Json::object();
       response.set("ok", true);
       response.set("service", std::string("pima_asm"));
       response.set("protocol", static_cast<std::int64_t>(1));
@@ -639,7 +640,7 @@ bool Daemon::dispatch_verb(const Json& request, LineChannel& channel) {
       request_shutdown();
       return false;
     } else if (verb == "shutdown") {
-      response = Json::object();
+      response = net::Json::object();
       response.set("ok", true);
       response.set("stopping", true);
       channel.write_line(response.dump());
@@ -651,20 +652,20 @@ bool Daemon::dispatch_verb(const Json& request, LineChannel& channel) {
   } catch (const std::exception& e) {
     response = error_response(error_type_name(e), e.what());
   }
-  if (response.type() != Json::Type::kNull)
+  if (response.type() != net::Json::Type::kNull)
     channel.write_line(response.dump());
   return !close;
 }
 
 void Daemon::handle_connection(ConnSlot* slot) {
-  LineChannel channel(slot->fd.load(std::memory_order_acquire));
+  net::LineChannel channel(slot->fd.load(std::memory_order_acquire));
   std::string line;
   try {
     while (channel.read_line(line)) {
       if (line.empty()) continue;
-      Json request;
+      net::Json request;
       try {
-        request = Json::parse(line);
+        request = net::Json::parse(line);
       } catch (const std::exception& e) {
         channel.write_line(
             error_response("InputFormatError", e.what()).dump());
@@ -782,11 +783,12 @@ void Daemon::run() {
   wake_read_ = wake_pipe[0];
   wake_write_.store(wake_pipe[1], std::memory_order_release);
 
-  ScopedFd unix_listener = listen_unix(options_.socket_path);
-  ScopedFd tcp_listener;
-  if (options_.tcp_port != 0) tcp_listener = listen_tcp(options_.tcp_port);
-  ScopedFd http_listener;
-  if (options_.http_port != 0) http_listener = listen_tcp(options_.http_port);
+  net::ScopedFd unix_listener = net::listen_unix(options_.socket_path);
+  net::ScopedFd tcp_listener;
+  if (options_.tcp_port != 0) tcp_listener = net::listen_tcp(options_.tcp_port);
+  net::ScopedFd http_listener;
+  if (options_.http_port != 0)
+    http_listener = net::listen_tcp(options_.http_port);
 
   {
     // Recovered jobs may start immediately.
@@ -810,7 +812,7 @@ void Daemon::run() {
 
     for (nfds_t i = 1; i < nfds; ++i) {
       if ((fds[i].revents & POLLIN) == 0) continue;
-      ScopedFd conn = accept_connection(fds[i].fd);
+      net::ScopedFd conn = net::accept_connection(fds[i].fd);
       if (!conn.valid()) continue;
       reap_connections();
       bool at_cap = false;
@@ -822,7 +824,7 @@ void Daemon::run() {
         // Transport-level admission control: refuse with a typed error
         // line (best effort — the peer may already be gone) and close.
         try {
-          LineChannel refuse(conn.get());
+          net::LineChannel refuse(conn.get());
           refuse.write_line(
               error_response("AdmissionRejectedError",
                              "too many concurrent connections")
@@ -850,9 +852,9 @@ void Daemon::run() {
 
   // ---- graceful shutdown ----
   // 1. Stop accepting; wake every waiter (follow watchers, drain).
-  unix_listener = ScopedFd();
-  tcp_listener = ScopedFd();
-  http_listener = ScopedFd();
+  unix_listener = net::ScopedFd();
+  tcp_listener = net::ScopedFd();
+  http_listener = net::ScopedFd();
   cv_.notify_all();
 
   // 2. Cancel running jobs in shutdown mode: they persist back to

@@ -40,10 +40,10 @@
 #include <vector>
 
 #include "dram/geometry.hpp"
+#include "net/socket.hpp"
 #include "runtime/cancel.hpp"
 #include "service/admission.hpp"
 #include "service/job.hpp"
-#include "service/socket.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace pima::service {
@@ -108,7 +108,7 @@ class Daemon {
   void maybe_dispatch();
   void run_job(JobEntry& entry);  // runner thread body (takes mutex_ itself)
   void update_service_gauges();
-  Json status_json(const JobEntry& entry) const;
+  net::Json status_json(const JobEntry& entry) const;
 
   // ---- protocol (called from connection threads) ----
   struct ConnSlot;
@@ -116,14 +116,15 @@ class Daemon {
   /// HTTP introspection connection: one GET, one response, close.
   void handle_http(ConnSlot* slot);
   /// Returns false when the connection should close after this response.
-  bool dispatch_verb(const Json& request, LineChannel& channel);
-  Json verb_submit(const Json& request);
-  Json verb_status(const Json& request, LineChannel& channel, bool& close);
-  Json verb_result(const Json& request);
-  Json verb_cancel(const Json& request);
-  Json verb_list() const;
-  Json verb_metrics(const Json& request);
-  Json verb_drain();
+  bool dispatch_verb(const net::Json& request, net::LineChannel& channel);
+  net::Json verb_submit(const net::Json& request);
+  net::Json verb_status(const net::Json& request, net::LineChannel& channel,
+                        bool& close);
+  net::Json verb_result(const net::Json& request);
+  net::Json verb_cancel(const net::Json& request);
+  net::Json verb_list() const;
+  net::Json verb_metrics(const net::Json& request);
+  net::Json verb_drain();
 
   /// Deterministic daemon-wide fold: service registry + every job
   /// registry in job-id order.

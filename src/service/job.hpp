@@ -22,7 +22,7 @@
 #include <cstdint>
 #include <string>
 
-#include "service/json.hpp"
+#include "net/json.hpp"
 
 namespace pima::service {
 
@@ -69,8 +69,8 @@ struct JobSpec {
   /// field. Called on submit (server side) and by from_json.
   void validate() const;
 
-  Json to_json() const;
-  static JobSpec from_json(const Json& j);
+  net::Json to_json() const;
+  static JobSpec from_json(const net::Json& j);
 
   bool operator==(const JobSpec&) const = default;
 };
@@ -101,8 +101,8 @@ struct JobRecord {
   /// Human name of the Fig. 5 stage the job is in (from stages_done).
   const char* current_stage() const;
 
-  Json to_json() const;
-  static JobRecord from_json(const Json& j);
+  net::Json to_json() const;
+  static JobRecord from_json(const net::Json& j);
 };
 
 /// Atomic (tmp + rename) persistence of `record` to `<dir>/job.json`.

@@ -97,7 +97,7 @@ TEST_F(DpuTest, ReduceIsCosted) {
   EXPECT_EQ(
       sa_.stats().counts[static_cast<std::size_t>(CommandKind::kDpuReduce)],
       1u);
-  EXPECT_GT(sa_.stats().energy_pj, 0.0);
+  EXPECT_GT(sa_.cost().energy_pj, 0.0);
 }
 
 }  // namespace

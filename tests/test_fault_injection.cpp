@@ -10,6 +10,7 @@
 #include "dna/genome.hpp"
 #include "dram/dpu.hpp"
 #include "dram/subarray.hpp"
+#include "runtime/shard.hpp"
 
 namespace pima {
 namespace {
@@ -79,7 +80,8 @@ TEST(FaultInjection, HashTableTreatsCorruptedKeyAsDistinct) {
   // After a key-row bit flip, the stored key no longer equals the logical
   // k-mer: the next arrival of that k-mer probes past it and re-inserts.
   dram::Device dev(geometry());
-  core::PimHashTable table(dev, 1);
+  runtime::DevicePool pool(dev, 1);
+  core::PimHashTable table(pool, 1);
   const auto seq = dna::Sequence::from_string("ACGTACGTACGTACGT");
   const auto km = assembly::Kmer::from_sequence(seq, 0, 16);
   table.insert_or_increment(km);

@@ -14,6 +14,7 @@
 #include "dram/device.hpp"
 #include "dram/fault.hpp"
 #include "runtime/recovery.hpp"
+#include "runtime/shard.hpp"
 
 namespace pima {
 namespace {
@@ -195,12 +196,13 @@ TEST(Recovery, RetryReproducesGoldenUnderModerateFaults) {
   dram::Device dev(small_geometry());
   // ~0.2% per-column rate: ~37% of 256-column ops faulty, retries succeed.
   dev.enable_faults(fault_config(0.30, 0.01));
-  runtime::RecoveryManager mgr(dev,
+  runtime::DevicePool pool(dev, 1);
+  runtime::RecoveryManager mgr(pool,
                                recovery_options(runtime::RecoveryMode::kRetry));
   dram::Subarray& sa = dev.subarray(0);
   auto& ex = mgr.executor_for(0);
   const dram::RowAddr dst = sa.compute_row(3);
-  for (int op = 0; op < 200; ++op) {
+  for (std::size_t op = 0; op < 200; ++op) {
     const auto a = pattern_row(256, 2 + op % 7);
     const auto b = pattern_row(256, 3 + op % 5);
     sa.write_row(0, a);
@@ -217,12 +219,13 @@ TEST(Recovery, RetryReproducesGoldenUnderModerateFaults) {
 TEST(Recovery, TraMajorityIsVerifiedToo) {
   dram::Device dev(small_geometry());
   dev.enable_faults(fault_config(0.30, 0.01));
-  runtime::RecoveryManager mgr(dev,
+  runtime::DevicePool pool(dev, 1);
+  runtime::RecoveryManager mgr(pool,
                                recovery_options(runtime::RecoveryMode::kRetry));
   dram::Subarray& sa = dev.subarray(0);
   auto& ex = mgr.executor_for(0);
   const dram::RowAddr dst = sa.compute_row(3);
-  for (int op = 0; op < 100; ++op) {
+  for (std::size_t op = 0; op < 100; ++op) {
     const auto a = pattern_row(256, 2 + op % 7);
     const auto b = pattern_row(256, 3 + op % 5);
     const auto c = pattern_row(256, 2 + op % 3);
@@ -239,7 +242,8 @@ TEST(Recovery, TraMajorityIsVerifiedToo) {
 TEST(Recovery, OffModeLetsFaultsEscape) {
   dram::Device dev(small_geometry());
   dev.enable_faults(fault_config(0.30));  // every op corrupted
-  runtime::RecoveryManager mgr(dev,
+  runtime::DevicePool pool(dev, 1);
+  runtime::RecoveryManager mgr(pool,
                                recovery_options(runtime::RecoveryMode::kOff));
   dram::Subarray& sa = dev.subarray(0);
   auto& ex = mgr.executor_for(0);
@@ -256,21 +260,23 @@ TEST(Recovery, OffModeLetsFaultsEscape) {
 TEST(Recovery, VoteModeAcceptsMajorityAndAccountsEscapes) {
   dram::Device dev(small_geometry());
   dev.enable_faults(fault_config(0.30, 0.01));
-  runtime::RecoveryManager mgr(dev,
+  runtime::DevicePool pool(dev, 1);
+  runtime::RecoveryManager mgr(pool,
                                recovery_options(runtime::RecoveryMode::kVote));
   dram::Subarray& sa = dev.subarray(0);
   auto& ex = mgr.executor_for(0);
   const dram::RowAddr dst = sa.compute_row(3);
   std::size_t escaped_before = 0;
-  for (int op = 0; op < 100; ++op) {
+  for (std::size_t op = 0; op < 100; ++op) {
     const auto a = pattern_row(256, 2 + op % 7);
     const auto b = pattern_row(256, 3 + op % 5);
     sa.write_row(0, a);
     sa.write_row(1, b);
     ex.compare_rows(0, 1, dst);
     // Invariant: an accepted-but-wrong majority is always accounted.
-    if (ex.stats().escaped == escaped_before)
+    if (ex.stats().escaped == escaped_before) {
       ASSERT_TRUE(sa.peek_row(dst) == BitVector::bit_xnor(a, b)) << op;
+    }
     escaped_before = ex.stats().escaped;
   }
   EXPECT_GT(ex.stats().detected, 0u);  // disagreements seen
@@ -282,7 +288,8 @@ TEST(Recovery, PersistentFailuresRemapStagingRows) {
   dev.enable_faults(fault_config(0.30));  // every execution fails
   runtime::RecoveryOptions opts = recovery_options(runtime::RecoveryMode::kRetry);
   opts.weak_row_threshold = 1;  // first blame remaps
-  runtime::RecoveryManager mgr(dev, opts);
+  runtime::DevicePool pool(dev, 1);
+  runtime::RecoveryManager mgr(pool, opts);
   dram::Subarray& sa = dev.subarray(0);
   auto& ex = mgr.executor_for(0);
   EXPECT_EQ(ex.staging_row(0), 0u);
@@ -298,11 +305,12 @@ TEST(Recovery, BlownBudgetDegradesToHostFallback) {
   dev.enable_faults(fault_config(0.30));  // every execution fails
   runtime::RecoveryOptions opts = recovery_options(runtime::RecoveryMode::kRetry);
   opts.subarray_failure_budget = 0;  // first detection blows the budget
-  runtime::RecoveryManager mgr(dev, opts);
+  runtime::DevicePool pool(dev, 1);
+  runtime::RecoveryManager mgr(pool, opts);
   dram::Subarray& sa = dev.subarray(0);
   auto& ex = mgr.executor_for(0);
   const dram::RowAddr dst = sa.compute_row(3);
-  for (int op = 0; op < 4; ++op) {
+  for (std::size_t op = 0; op < 4; ++op) {
     const auto a = pattern_row(256, 2 + op);
     const auto b = pattern_row(256, 3 + op);
     sa.write_row(0, a);

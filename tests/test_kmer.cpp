@@ -117,8 +117,9 @@ TEST_P(KmerRoundTrip, SequenceRoundTripAndDbInvariants) {
     const auto km = Kmer::from_sequence(seq, i, k);
     EXPECT_EQ(km.to_string(), seq.subseq(i, k).to_string());
     // de Bruijn identity: suffix of prefix == prefix of suffix.
-    if (k >= 3)
+    if (k >= 3) {
       EXPECT_EQ(km.prefix().suffix(), km.suffix().prefix());
+    }
   }
 }
 

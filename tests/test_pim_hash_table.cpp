@@ -6,6 +6,7 @@
 
 #include "dna/genome.hpp"
 #include "dram/command.hpp"
+#include "runtime/shard.hpp"
 
 namespace pima::core {
 namespace {
@@ -30,7 +31,8 @@ Kmer kmer_of(const std::string& s) {
 
 TEST(PimHashTable, InsertAndIncrement) {
   dram::Device dev(test_geometry());
-  PimHashTable table(dev, 2);
+  runtime::DevicePool pool(dev, 1);
+  PimHashTable table(pool, 2);
   EXPECT_EQ(table.insert_or_increment(kmer_of("CGTGC")), 1u);
   EXPECT_EQ(table.insert_or_increment(kmer_of("CGTGC")), 2u);
   EXPECT_EQ(table.insert_or_increment(kmer_of("GTGCG")), 1u);
@@ -42,7 +44,8 @@ TEST(PimHashTable, InsertAndIncrement) {
 
 TEST(PimHashTable, PaperFig5bExampleInDram) {
   dram::Device dev(test_geometry());
-  PimHashTable table(dev, 2);
+  runtime::DevicePool pool(dev, 1);
+  PimHashTable table(pool, 2);
   const auto s = dna::Sequence::from_string("CGTGCGTGCTT");
   for (std::size_t i = 0; i + 5 <= s.size(); ++i)
     table.insert_or_increment(Kmer::from_sequence(s, i, 5));
@@ -53,7 +56,8 @@ TEST(PimHashTable, PaperFig5bExampleInDram) {
 
 TEST(PimHashTable, KeysLiveInDramRows) {
   dram::Device dev(test_geometry());
-  PimHashTable table(dev, 1);
+  runtime::DevicePool pool(dev, 1);
+  PimHashTable table(pool, 1);
   table.insert_or_increment(kmer_of("CGTGCGTGCTTACGG"));
   // Find the occupied slot and decode the row image.
   bool found = false;
@@ -69,7 +73,8 @@ TEST(PimHashTable, KeysLiveInDramRows) {
 
 TEST(PimHashTable, SaturatingEightBitCounter) {
   dram::Device dev(test_geometry());
-  PimHashTable table(dev, 1);
+  runtime::DevicePool pool(dev, 1);
+  PimHashTable table(pool, 1);
   const auto km = kmer_of("ACGTACGTACGT");
   for (int i = 0; i < 300; ++i) table.insert_or_increment(km);
   EXPECT_EQ(table.lookup(km).value(), 255u);  // saturates, never wraps
@@ -77,7 +82,8 @@ TEST(PimHashTable, SaturatingEightBitCounter) {
 
 TEST(PimHashTable, MixedKRejected) {
   dram::Device dev(test_geometry());
-  PimHashTable table(dev, 1);
+  runtime::DevicePool pool(dev, 1);
+  PimHashTable table(pool, 1);
   table.insert_or_increment(kmer_of("ACGTA"));
   EXPECT_THROW(table.insert_or_increment(kmer_of("ACGTAC")),
                pima::PreconditionError);
@@ -88,7 +94,8 @@ TEST(PimHashTable, OverlongKmerRejected) {
   dram::Geometry g = test_geometry();
   g.columns = 32;  // 16 bp max
   dram::Device dev(g);
-  PimHashTable table(dev, 1);
+  runtime::DevicePool pool(dev, 1);
+  PimHashTable table(pool, 1);
   EXPECT_THROW(table.insert_or_increment(kmer_of("ACGTACGTACGTACGTACGTA")),
                pima::PreconditionError);
 }
@@ -97,7 +104,8 @@ TEST(PimHashTable, ShardFullThrows) {
   dram::Geometry g = test_geometry();
   g.rows = 32;  // tiny shard (≈12 keys)
   dram::Device dev(g);
-  PimHashTable table(dev, 1);
+  runtime::DevicePool pool(dev, 1);
+  PimHashTable table(pool, 1);
   dna::GenomeParams gp;
   gp.length = 600;
   gp.repeat_count = 0;
@@ -112,7 +120,8 @@ TEST(PimHashTable, ShardFullThrows) {
 
 TEST(PimHashTable, MatchesSoftwareCounterOnRandomReads) {
   dram::Device dev(test_geometry());
-  PimHashTable table(dev, 8);
+  runtime::DevicePool pool(dev, 1);
+  PimHashTable table(pool, 8);
 
   dna::GenomeParams gp;
   gp.length = 1200;
@@ -147,7 +156,8 @@ TEST(PimHashTable, MatchesSoftwareCounterOnRandomReads) {
 
 TEST(PimHashTable, CommandsAreCosted) {
   dram::Device dev(test_geometry());
-  PimHashTable table(dev, 1);
+  runtime::DevicePool pool(dev, 1);
+  PimHashTable table(pool, 1);
   table.insert_or_increment(kmer_of("ACGTACGT"));
   table.insert_or_increment(kmer_of("ACGTACGT"));
   const auto stats = dev.roll_up();
@@ -166,7 +176,8 @@ TEST(PimHashTable, CommandsAreCosted) {
 
 TEST(PimHashTable, ShardsSpreadAcrossSubarrays) {
   dram::Device dev(test_geometry());
-  PimHashTable table(dev, 8);
+  runtime::DevicePool pool(dev, 1);
+  PimHashTable table(pool, 8);
   dna::GenomeParams gp;
   gp.length = 800;
   gp.repeat_count = 0;
@@ -179,9 +190,10 @@ TEST(PimHashTable, ShardsSpreadAcrossSubarrays) {
 
 TEST(PimHashTable, ConstructorValidation) {
   dram::Device dev(test_geometry());
-  EXPECT_THROW(PimHashTable(dev, 0), pima::PreconditionError);
-  EXPECT_THROW(PimHashTable(dev, 9), pima::PreconditionError);  // > 8 arrays
-  EXPECT_NO_THROW(PimHashTable(dev, 4, 4));
+  runtime::DevicePool pool(dev, 1);
+  EXPECT_THROW(PimHashTable(pool, 0), pima::PreconditionError);
+  EXPECT_THROW(PimHashTable(pool, 9), pima::PreconditionError);  // > 8 arrays
+  EXPECT_NO_THROW(PimHashTable(pool, 4, 4));
 }
 
 }  // namespace

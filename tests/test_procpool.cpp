@@ -576,8 +576,7 @@ TEST(ProcPoolWire, TransposedKernelMatchesDirectColumnSums) {
   const dram::CommandStats& got = stats[0].second;
   for (std::size_t i = 0; i < dram::kCommandKindCount; ++i)
     EXPECT_EQ(got.counts[i], want.counts[i]) << "kind " << i;
-  EXPECT_EQ(got.busy_ns, want.busy_ns);
-  EXPECT_EQ(got.energy_pj, want.energy_pj);
+  EXPECT_EQ(got.wait_ns, want.wait_ns);
 }
 
 TEST(ProcPoolExchange, RpcAllTypedErrorReadsEveryResponse) {

@@ -5,11 +5,16 @@
 // The battery pins every observable surface: contigs, per-stage DeviceStats
 // roll-ups, the model-class Prometheus snapshot, the merged command trace,
 // and the per-device command sub-streams replayed through the golden model.
-// Plus the algebra the device-indexed reductions rely on: DeviceStats /
-// FaultStats fold properties.
+// Plus the folds: any sub-array order gives the same roll-up, each stage's
+// energy is its per-kind breakdown total, and DeviceStats / FaultStats
+// compose associatively.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <random>
 #include <string>
 #include <vector>
@@ -19,6 +24,7 @@
 #include "dna/genome.hpp"
 #include "dram/device.hpp"
 #include "dram/isa.hpp"
+#include "dram/trace.hpp"
 #include "runtime/recovery.hpp"
 #include "runtime/shard.hpp"
 #include "telemetry/session.hpp"
@@ -152,8 +158,9 @@ dram::Geometry tiny_geometry() {
 }
 
 // The same command sequence issued through a 3-device pool and through one
-// bare device must produce identical roll-ups (identical doubles — the
-// pool folds in logical flat order, not device order).
+// bare device must produce identical roll-ups: per-kind counts and waits
+// are integers, so the pool's per-device folds sum to the single-device
+// fold exactly.
 TEST(DevicePoolFolds, MatchSingleDeviceBitForBit) {
   const auto geom = tiny_geometry();
   dram::Device single(geom);
@@ -168,6 +175,7 @@ TEST(DevicePoolFolds, MatchSingleDeviceBitForBit) {
       sa.aap_copy(0, sa.compute_row(0));
       sa.aap_copy(1, sa.compute_row(1));
       sa.aap_xor(sa.compute_row(0), sa.compute_row(1), 2);
+      sa.wait_ns(100 * flat);
     }
   };
   issue([&](std::size_t flat) -> dram::Subarray& {
@@ -179,20 +187,125 @@ TEST(DevicePoolFolds, MatchSingleDeviceBitForBit) {
 
   EXPECT_EQ(pool.roll_up(), single.roll_up());
   EXPECT_EQ(pool.instantiated_count(), single.instantiated_count());
-  const auto pc = pool.command_roll_up();
-  const auto sc = single.command_roll_up();
+  const dram::CommandStats pc = pool.fold().commands();
+  const dram::CommandStats sc = single.fold().commands();
   EXPECT_EQ(pc.total_commands(), sc.total_commands());
-  EXPECT_EQ(pc.busy_ns, sc.busy_ns);
-  EXPECT_EQ(pc.energy_pj, sc.energy_pj);
+  EXPECT_EQ(pc.wait_ns, sc.wait_ns);
+  EXPECT_EQ(pc.wait_ns, 1500u);
   for (std::size_t k = 0; k < dram::kCommandKindCount; ++k)
     EXPECT_EQ(pc.counts[k], sc.counts[k]) << "command kind " << k;
 }
 
+// Per-command energies are not dyadic (a 256-column ROW_WRITE costs
+// 151.2 pJ), so summing per-sub-array energy doubles gives a different
+// result in every order. StatsFold sums integer counts and derives the
+// doubles once, so flat order, shuffled order and per-device folds joined
+// in device order all give the same DeviceStats bit for bit.
+TEST(DevicePoolFolds, AnyFoldOrderIsBitIdentical) {
+  const auto& tech = circuit::default_technology();
+  const std::size_t columns = 256;
+  std::mt19937_64 rng{11};
+  std::vector<dram::CommandStats> records(64);
+  for (auto& st : records) {
+    for (auto& c : st.counts) c = rng() % 5000;
+    st.wait_ns = rng() % 4 == 0 ? 100 * (rng() % 8) : 0;
+  }
+  records[5] = {};  // a zero-command sub-array is the identity
+  dram::StatsFold flat(columns, tech);
+  for (const auto& st : records) flat.add_subarray(st);
+  const dram::DeviceStats want = flat.stats();
+  EXPECT_EQ(want.subarrays_used, records.size() - 1);
+  EXPECT_EQ(want.energy_pj,
+            dram::breakdown_from_stats(flat.commands(), columns, tech)
+                .total_energy_pj);
+
+  for (std::size_t trial = 0; trial < 16; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    auto shuffled = records;
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    dram::StatsFold any(columns, tech);
+    for (const auto& st : shuffled) any.add_subarray(st);
+    EXPECT_EQ(any.stats(), want);
+
+    const std::size_t devices = 2 + trial % 7;
+    dram::StatsFold joined(columns, tech);
+    for (std::size_t d = 0; d < devices; ++d) {
+      dram::StatsFold part(columns, tech);
+      for (std::size_t i = d; i < records.size(); i += devices)
+        part.add_subarray(records[i]);
+      joined.add(part);
+    }
+    EXPECT_EQ(joined.stats(), want);
+    EXPECT_EQ(joined.commands(), flat.commands());
+  }
+}
+
+// Each stage's energy is derived from its summed per-kind counts, so it is
+// the breakdown total of those counts exactly. The per-stage counts are
+// read from the cumulative pima_dram_commands_total{kind} counters at each
+// stage's checkpoint. Stage 2 is thousands of ROW_WRITEs, whose 151.2 pJ
+// do not sum to count × 151.2 one command at a time.
+TEST(StageFold, EnergyIsTheBreakdownTotalOfEachStage) {
+  const auto reads = workload_reads(404);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("pima_stage_fold_" + std::to_string(::getpid()));
+  const auto& tech = circuit::default_technology();
+  const std::size_t columns = pipeline_geometry().columns;
+  std::filesystem::create_directories(dir);
+  for (const std::size_t devices : {1u, 4u}) {
+    SCOPED_TRACE("devices=" + std::to_string(devices));
+    auto& session = telemetry::TelemetrySession::instance();
+    session.reset();
+    session.enable_metrics();
+    std::vector<dram::CommandStats> per_stage;
+    dram::CommandStats seen;
+    dram::Device device(pipeline_geometry());
+    core::PipelineOptions opt;
+    opt.k = 15;
+    opt.hash_shards = 8;
+    opt.devices = devices;
+    opt.threads = 2;
+    opt.checkpoint_dir = dir.string();
+    opt.on_checkpoint = [&](std::uint32_t, const std::string&) {
+      dram::CommandStats stage;
+      for (std::size_t k = 0; k < dram::kCommandKindCount; ++k) {
+        const auto kind = static_cast<dram::CommandKind>(k);
+        const telemetry::Labels labels = {
+            {"kind", std::string(dram::to_string(kind))}};
+        const auto now = static_cast<std::size_t>(
+            session.metrics()
+                .counter("pima_dram_commands_total", "", labels)
+                .value());
+        stage.counts[k] = now - seen.counts[k];
+        seen.counts[k] = now;
+      }
+      per_stage.push_back(stage);
+    };
+    const auto result = core::run_pipeline(device, reads, opt);
+    session.reset();
+    ASSERT_EQ(per_stage.size(), 3u);
+    EXPECT_GT(per_stage[1].counts[static_cast<std::size_t>(
+                  dram::CommandKind::kRowWrite)],
+              1000u);
+    const core::StageStats* stages[] = {&result.hashmap, &result.debruijn,
+                                        &result.traverse};
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(stages[i]->device.commands, per_stage[i].total_commands())
+          << stages[i]->name;
+      EXPECT_EQ(stages[i]->device.energy_pj,
+                dram::breakdown_from_stats(per_stage[i], columns, tech)
+                    .total_energy_pj)
+          << stages[i]->name;
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // ---- fold algebra -----------------------------------------------------------
 
-// Integer-valued doubles below 2^40 add exactly, so the associativity of
-// the stage composition is testable bit-for-bit (the production
-// folds sidestep rounding entirely by folding in a fixed logical order).
+// Stages compose with DeviceStats::operator+ in one fixed order (hashmap,
+// debruijn, traverse). Integer-valued doubles below 2^40 add exactly, so
+// the algebra of that composition is testable bit for bit here.
 dram::DeviceStats random_stats(std::mt19937_64& rng) {
   dram::DeviceStats s;
   s.time_ns = static_cast<double>(rng() % (1u << 20));

@@ -230,8 +230,8 @@ TEST_F(SubarrayTest, StatsAccumulateAndClear) {
   EXPECT_EQ(st.counts[static_cast<std::size_t>(CommandKind::kRowWrite)], 1u);
   EXPECT_EQ(st.counts[static_cast<std::size_t>(CommandKind::kAapCopy)], 3u);
   EXPECT_EQ(st.counts[static_cast<std::size_t>(CommandKind::kAapTwoRow)], 1u);
-  EXPECT_GT(st.busy_ns, 0.0);
-  EXPECT_GT(st.energy_pj, 0.0);
+  EXPECT_GT(sa_.cost().busy_ns, 0.0);
+  EXPECT_GT(sa_.cost().energy_pj, 0.0);
   sa_.clear_stats();
   EXPECT_EQ(sa_.stats().total_commands(), 0u);
 }
@@ -239,13 +239,13 @@ TEST_F(SubarrayTest, StatsAccumulateAndClear) {
 TEST_F(SubarrayTest, CommandCostsMatchTimingModel) {
   const auto& t = circuit::default_technology().timing;
   sa_.aap_copy(1, 2);
-  EXPECT_DOUBLE_EQ(sa_.stats().busy_ns, t.aap_ns());
+  EXPECT_DOUBLE_EQ(sa_.cost().busy_ns, t.aap_ns());
   sa_.clear_stats();
   sa_.write_row(sa_.compute_row(0), BitVector(64));
   sa_.write_row(sa_.compute_row(1), BitVector(64));
   sa_.clear_stats();
   sa_.aap_xnor(sa_.compute_row(0), sa_.compute_row(1), 3);
-  EXPECT_DOUBLE_EQ(sa_.stats().busy_ns, t.aap_ns());
+  EXPECT_DOUBLE_EQ(sa_.cost().busy_ns, t.aap_ns());
 }
 
 // Vertical multi-bit addition: property test against software addition on

@@ -246,7 +246,7 @@ TEST(Metrics, HistogramQuantiles) {
 
 TEST(Metrics, MergeIsDeterministicFold) {
   // Shards folded in index order must reproduce the serial registry
-  // bit-for-bit — same discipline as runtime::reduce_parallel.
+  // bit-for-bit.
   MetricsRegistry serial;
   serial.counter("pima_x_total", "h").add(6.0);
   serial.gauge("pima_g", "h").set(5.0);

@@ -128,8 +128,8 @@ TEST(Trace, BreakdownFromTraceAggregates) {
     total += row.energy_pj;
   }
   EXPECT_DOUBLE_EQ(total, b.total_energy_pj);
-  EXPECT_DOUBLE_EQ(b.total_energy_pj, sa.stats().energy_pj);
-  EXPECT_DOUBLE_EQ(b.total_time_ns, sa.stats().busy_ns);
+  EXPECT_DOUBLE_EQ(b.total_energy_pj, sa.cost().energy_pj);
+  EXPECT_DOUBLE_EQ(b.total_time_ns, sa.cost().busy_ns);
 }
 
 TEST(Trace, BreakdownFromStatsMatchesTrace) {
@@ -175,7 +175,7 @@ TEST(Trace, LatchResetIsTraceOnlyAndUncosted) {
   // The Rst pulse rides the surrounding AAP envelope: no command counted,
   // no time, no energy.
   EXPECT_EQ(sa.stats().total_commands(), 0u);
-  EXPECT_DOUBLE_EQ(sa.stats().busy_ns, 0.0);
+  EXPECT_DOUBLE_EQ(sa.cost().busy_ns, 0.0);
 }
 
 TEST(Trace, RowWritePayloadIsCaptured) {
