@@ -31,6 +31,11 @@ class Kmer {
   std::uint64_t packed() const { return bits_; }
   std::size_t k() const { return k_; }
 
+  /// The low 2k bits: where a packed k-mer's bases live.
+  static std::uint64_t mask(std::size_t k) {
+    return k == kMaxK ? ~std::uint64_t{0} : (std::uint64_t{1} << (2 * k)) - 1;
+  }
+
   dna::Base base(std::size_t i) const {
     PIMA_CHECK(i < k_, "base index out of k-mer");
     return dna::from_code(
@@ -39,20 +44,17 @@ class Kmer {
 
   /// Drops the first base and appends `b` (rolling window update).
   Kmer rolled(dna::Base b) const {
-    const std::uint64_t mask =
-        k_ == kMaxK ? ~std::uint64_t{0} : (std::uint64_t{1} << (2 * k_)) - 1;
     const std::uint64_t next =
         ((bits_ >> 2) | (static_cast<std::uint64_t>(dna::to_code(b))
                          << (2 * (k_ - 1)))) &
-        mask;
+        mask(k_);
     return Kmer(next, k_);
   }
 
   /// Prefix (k-1)-mer — the source node of this k-mer's de Bruijn edge.
   Kmer prefix() const {
     PIMA_CHECK(k_ >= 2, "prefix of a 1-mer");
-    const std::uint64_t mask = (std::uint64_t{1} << (2 * (k_ - 1))) - 1;
-    return Kmer(bits_ & mask, k_ - 1);
+    return Kmer(bits_ & mask(k_ - 1), k_ - 1);
   }
 
   /// Suffix (k-1)-mer — the target node.

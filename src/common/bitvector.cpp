@@ -62,55 +62,82 @@ void BitVector::check_same_size(const BitVector& a, const BitVector& b) {
   PIMA_CHECK(a.size() == b.size(), "bulk logic operands differ in size");
 }
 
+BitVector& BitVector::xnor_with(const BitVector& b) {
+  check_same_size(*this, b);
+  for (std::size_t w = 0; w < words_.size(); ++w)
+    words_[w] = ~(words_[w] ^ b.words_[w]);
+  clear_tail();
+  return *this;
+}
+
+BitVector& BitVector::xor_with(const BitVector& b) {
+  check_same_size(*this, b);
+  for (std::size_t w = 0; w < words_.size(); ++w) words_[w] ^= b.words_[w];
+  return *this;
+}
+
+BitVector& BitVector::and_with(const BitVector& b) {
+  check_same_size(*this, b);
+  for (std::size_t w = 0; w < words_.size(); ++w) words_[w] &= b.words_[w];
+  return *this;
+}
+
+BitVector& BitVector::or_with(const BitVector& b) {
+  check_same_size(*this, b);
+  for (std::size_t w = 0; w < words_.size(); ++w) words_[w] |= b.words_[w];
+  return *this;
+}
+
+BitVector& BitVector::invert() {
+  for (auto& w : words_) w = ~w;
+  clear_tail();
+  return *this;
+}
+
+BitVector& BitVector::maj3_with(const BitVector& b, const BitVector& c) {
+  check_same_size(*this, b);
+  check_same_size(b, c);
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    const auto x = words_[w], y = b.words_[w], z = c.words_[w];
+    words_[w] = (x & y) | (y & z) | (x & z);
+  }
+  return *this;
+}
+
 BitVector BitVector::bit_xnor(const BitVector& a, const BitVector& b) {
-  check_same_size(a, b);
-  BitVector r(a.size());
-  for (std::size_t w = 0; w < r.words_.size(); ++w)
-    r.words_[w] = ~(a.words_[w] ^ b.words_[w]);
-  r.clear_tail();
+  BitVector r = a;
+  r.xnor_with(b);
   return r;
 }
 
 BitVector BitVector::bit_xor(const BitVector& a, const BitVector& b) {
-  check_same_size(a, b);
-  BitVector r(a.size());
-  for (std::size_t w = 0; w < r.words_.size(); ++w)
-    r.words_[w] = a.words_[w] ^ b.words_[w];
+  BitVector r = a;
+  r.xor_with(b);
   return r;
 }
 
 BitVector BitVector::bit_and(const BitVector& a, const BitVector& b) {
-  check_same_size(a, b);
-  BitVector r(a.size());
-  for (std::size_t w = 0; w < r.words_.size(); ++w)
-    r.words_[w] = a.words_[w] & b.words_[w];
+  BitVector r = a;
+  r.and_with(b);
   return r;
 }
 
 BitVector BitVector::bit_or(const BitVector& a, const BitVector& b) {
-  check_same_size(a, b);
-  BitVector r(a.size());
-  for (std::size_t w = 0; w < r.words_.size(); ++w)
-    r.words_[w] = a.words_[w] | b.words_[w];
+  BitVector r = a;
+  r.or_with(b);
   return r;
 }
 
 BitVector BitVector::bit_not(const BitVector& a) {
-  BitVector r(a.size());
-  for (std::size_t w = 0; w < r.words_.size(); ++w) r.words_[w] = ~a.words_[w];
-  r.clear_tail();
+  BitVector r = a;
+  r.invert();
   return r;
 }
 
 BitVector BitVector::bit_maj3(const BitVector& a, const BitVector& b,
                               const BitVector& c) {
-  check_same_size(a, b);
-  check_same_size(b, c);
-  BitVector r(a.size());
-  for (std::size_t w = 0; w < r.words_.size(); ++w) {
-    const auto x = a.words_[w], y = b.words_[w], z = c.words_[w];
-    r.words_[w] = (x & y) | (y & z) | (x & z);
-  }
+  BitVector r = a;
+  r.maj3_with(b, c);
   return r;
 }
 

@@ -78,6 +78,20 @@ class BitVector {
   bool operator==(const BitVector& o) const = default;
 
   // -- Word-parallel bulk logic; all operands must have equal size. --
+  //
+  // The in-place forms overwrite this vector word by word and allocate
+  // nothing (the DRAM primitives compute into an activated row with them);
+  // the by-value forms below are a copy plus the in-place op.
+
+  /// this = this XNOR b.
+  BitVector& xnor_with(const BitVector& b);
+  /// this = this XOR b.
+  BitVector& xor_with(const BitVector& b);
+  BitVector& and_with(const BitVector& b);
+  BitVector& or_with(const BitVector& b);
+  BitVector& invert();
+  /// this = MAJ(this, b, c).
+  BitVector& maj3_with(const BitVector& b, const BitVector& c);
 
   /// r = a XNOR b  (the PIM-Assembler single-cycle primitive).
   static BitVector bit_xnor(const BitVector& a, const BitVector& b);

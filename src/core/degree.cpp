@@ -1,6 +1,7 @@
 #include "core/degree.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/error.hpp"
 #include "runtime/scheduler.hpp"
@@ -43,30 +44,36 @@ class RowAllocator {
 // A vertical multi-bit number: row addresses LSB-first.
 using Number = std::vector<dram::RowAddr>;
 
+// Computation rows x1..x3, looked up once per compression.
+struct ComputeRows {
+  explicit ComputeRows(const dram::Subarray& sa)
+      : x1(sa.compute_row(0)), x2(sa.compute_row(1)), x3(sa.compute_row(2)) {}
+  dram::RowAddr x1, x2, x3;
+};
+
 // XOR3 of three data rows into a fresh row: x1 ← a, x2 ← b, XOR → x1 holds
 // a⊕b; x2 ← c, XOR → dst.
-dram::RowAddr xor3(dram::Subarray& sa, RowAllocator& alloc, dram::RowAddr a,
-                   dram::RowAddr b, dram::RowAddr c) {
-  const auto x1 = sa.compute_row(0), x2 = sa.compute_row(1);
+dram::RowAddr xor3(dram::Subarray& sa, const ComputeRows& x,
+                   RowAllocator& alloc, dram::RowAddr a, dram::RowAddr b,
+                   dram::RowAddr c) {
   const auto dst = alloc.alloc();
-  sa.aap_copy(a, x1);
-  sa.aap_copy(b, x2);
-  sa.aap_xor(x1, x2, x1);  // x1 = x2 = a⊕b
-  sa.aap_copy(c, x2);
-  sa.aap_xor(x1, x2, dst);
+  sa.aap_copy(a, x.x1);
+  sa.aap_copy(b, x.x2);
+  sa.aap_xor(x.x1, x.x2, x.x1);  // x1 = x2 = a⊕b
+  sa.aap_copy(c, x.x2);
+  sa.aap_xor(x.x1, x.x2, dst);
   return dst;
 }
 
 // MAJ3 of three data rows into a fresh row via TRA.
-dram::RowAddr maj3(dram::Subarray& sa, RowAllocator& alloc, dram::RowAddr a,
-                   dram::RowAddr b, dram::RowAddr c) {
-  const auto x1 = sa.compute_row(0), x2 = sa.compute_row(1),
-             x3 = sa.compute_row(2);
+dram::RowAddr maj3(dram::Subarray& sa, const ComputeRows& x,
+                   RowAllocator& alloc, dram::RowAddr a, dram::RowAddr b,
+                   dram::RowAddr c) {
   const auto dst = alloc.alloc();
-  sa.aap_copy(a, x1);
-  sa.aap_copy(b, x2);
-  sa.aap_copy(c, x3);
-  sa.aap_tra_carry(x1, x2, x3, dst);
+  sa.aap_copy(a, x.x1);
+  sa.aap_copy(b, x.x2);
+  sa.aap_copy(c, x.x3);
+  sa.aap_tra_carry(x.x1, x.x2, x.x3, dst);
   return dst;
 }
 
@@ -78,11 +85,14 @@ std::pair<Number, Number> compress(dram::Subarray& sa, RowAllocator& alloc,
   auto bit = [&](const Number& n, std::size_t i) {
     return i < n.size() ? n[i] : zero_row;
   };
+  const ComputeRows x(sa);
   Number sum, carry;
+  sum.reserve(w);
+  carry.reserve(w + 1);
   carry.push_back(zero_row);  // carry has weight 2: shift left one bit
   for (std::size_t i = 0; i < w; ++i) {
-    sum.push_back(xor3(sa, alloc, bit(a, i), bit(b, i), bit(c, i)));
-    carry.push_back(maj3(sa, alloc, bit(a, i), bit(b, i), bit(c, i)));
+    sum.push_back(xor3(sa, x, alloc, bit(a, i), bit(b, i), bit(c, i)));
+    carry.push_back(maj3(sa, x, alloc, bit(a, i), bit(b, i), bit(c, i)));
   }
   return {std::move(sum), std::move(carry)};
 }
@@ -133,6 +143,7 @@ std::vector<std::uint32_t> pim_column_sums(
   };
   while (numbers.size() > 2) {
     std::vector<Number> next;
+    next.reserve(numbers.size() - numbers.size() / 3);
     std::size_t i = 0;
     for (; i + 3 <= numbers.size(); i += 3) {
       auto [s, c] = compress(sa, alloc, zero_row, numbers[i], numbers[i + 1],
@@ -160,8 +171,10 @@ std::vector<std::uint32_t> pim_column_sums(
   for (std::size_t bitpos = 0; bitpos < result.size(); ++bitpos) {
     PIMA_CHECK(bitpos < 32, "degree exceeds 32-bit readout");
     const BitVector& row = sa.read_row(result[bitpos]);
-    for (std::size_t c = 0; c < width; ++c)
-      if (row.get(c)) sums[c] |= std::uint32_t{1} << bitpos;
+    for (std::size_t w = 0; w < row.word_count(); ++w)
+      for (std::uint64_t bits = row.word(w); bits != 0; bits &= bits - 1)
+        sums[64 * w + static_cast<std::size_t>(std::countr_zero(bits))] |=
+            std::uint32_t{1} << bitpos;
   }
   return sums;
 }

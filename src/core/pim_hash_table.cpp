@@ -13,6 +13,12 @@ std::uint64_t slot_hash(const assembly::Kmer& km) {
   z = (z ^ (z >> 29)) * 0xff51afd7ed558ccdull;
   return z ^ (z >> 32);
 }
+
+// A key row's image is the packed k-mer (base i at bits 2i..2i+1), zero
+// padded: its first word. Decoding ignores the bits at 2k and above.
+assembly::Kmer decode_key(const BitVector& row, std::size_t k) {
+  return assembly::Kmer(row.word(0) & assembly::Kmer::mask(k), k);
+}
 }  // namespace
 
 PimHashTable::PimHashTable(runtime::DevicePool& pool, std::size_t shards,
@@ -154,7 +160,7 @@ std::uint32_t PimHashTable::insert_or_increment(const assembly::Kmer& kmer) {
   // Stage the query into the temp region (MEM_insert of the new query,
   // Fig. 6). The row image is the 2-bit packed k-mer, zero padded.
   BitVector query(pool_.geometry().columns);
-  query.copy_range_from(kmer.to_sequence().to_bits(0, k_), 0);
+  query.set_word(0, kmer.packed());
   sa.write_row(layout_.temp_row(0), query);
 
   std::size_t slot = home_slot(kmer);
@@ -192,7 +198,7 @@ std::optional<std::uint32_t> PimHashTable::lookup(const assembly::Kmer& kmer) {
   dram::Subarray& sa = shard_subarray(shard);
 
   BitVector query(pool_.geometry().columns);
-  query.copy_range_from(kmer.to_sequence().to_bits(0, k_), 0);
+  query.set_word(0, kmer.packed());
   sa.write_row(layout_.temp_row(0), query);
 
   std::size_t slot = home_slot(kmer);
@@ -212,9 +218,8 @@ PimHashTable::peek_slot(std::size_t shard, std::size_t slot) const {
   if (!sh.occupied[slot] || k_ == 0) return std::nullopt;
   const dram::Subarray* sa_ptr = pool_.subarray_if(sh.subarray_flat);
   PIMA_CHECK(sa_ptr != nullptr, "occupied shard must be instantiated");
-  const BitVector& key_row = sa_ptr->peek_row(layout_.kmer_row(slot));
-  const auto seq = dna::Sequence::from_bits(key_row, 0, k_);
-  const assembly::Kmer km = assembly::Kmer::from_sequence(seq, 0, k_);
+  const assembly::Kmer km =
+      decode_key(sa_ptr->peek_row(layout_.kmer_row(slot)), k_);
   const dram::Subarray* val_ptr =
       policy_ == MappingPolicy::kCentralValues
           ? pool_.subarray_if(central_value_flat_)
@@ -242,10 +247,9 @@ PimHashTable::extract_shard(std::size_t shard) {
   dram::Subarray& sa = shard_subarray(sh);
   for (std::size_t slot = 0; slot < layout_.kmer_rows; ++slot) {
     if (!sh.occupied[slot]) continue;
-    const BitVector& key_row = sa.read_row(layout_.kmer_row(slot));
-    const auto seq = dna::Sequence::from_bits(key_row, 0, k_);
-    out.emplace_back(assembly::Kmer::from_sequence(seq, 0, k_),
-                     read_counter(shard, slot));
+    const assembly::Kmer km =
+        decode_key(sa.read_row(layout_.kmer_row(slot)), k_);
+    out.emplace_back(km, read_counter(shard, slot));
   }
   return out;
 }

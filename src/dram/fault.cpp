@@ -1,5 +1,8 @@
 #include "dram/fault.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "circuit/montecarlo.hpp"
 #include "common/error.hpp"
 
@@ -74,12 +77,18 @@ std::size_t FaultInjector::corrupt_activation(
       break;
     }
   if (rate > 1.0) rate = 1.0;
+  // One draw per column in column order; the flips of a word are applied
+  // as one mask.
   std::size_t flips = 0;
-  for (std::size_t col = 0; col < result.size(); ++col)
-    if (rng_.bernoulli(rate)) {
-      result.set(col, !result.get(col));
-      ++flips;
-    }
+  for (std::size_t w = 0; w < result.word_count(); ++w) {
+    const std::size_t cols = std::min<std::size_t>(64, result.size() - 64 * w);
+    std::uint64_t mask = 0;
+    for (std::size_t b = 0; b < cols; ++b)
+      if (rng_.bernoulli(rate)) mask |= std::uint64_t{1} << b;
+    if (mask == 0) continue;
+    result.set_word(w, result.word(w) ^ mask);
+    flips += static_cast<std::size_t>(std::popcount(mask));
+  }
   if (flips > 0) {
     counters_.compute_flips += flips;
     ++counters_.faulty_ops;

@@ -1,7 +1,5 @@
 #include "dram/subarray.hpp"
 
-#include <utility>
-
 namespace pima::dram {
 
 Subarray::Subarray(const Geometry& geometry, const circuit::Technology& tech)
@@ -15,23 +13,8 @@ RowAddr Subarray::compute_row(std::size_t i) const {
   return geom_.data_rows() + i;
 }
 
-bool Subarray::is_compute_row(RowAddr r) const {
-  return r >= geom_.data_rows() && r < geom_.rows;
-}
-
-void Subarray::check_row(RowAddr r) const {
-  PIMA_CHECK(r < geom_.rows, "row address out of sub-array");
-}
-
-void Subarray::check_compute(RowAddr r, const char* what) const {
-  check_row(r);
-  PIMA_CHECK(is_compute_row(r),
-             std::string("multi-row activation outside computation rows: ") +
-                 what);
-}
-
-void Subarray::record(CommandKind k, Opcode op, RowAddr a, RowAddr b,
-                      RowAddr c, RowAddr dst, const BitVector* payload) {
+void Subarray::observe(CommandKind k, Opcode op, RowAddr a, RowAddr b,
+                       RowAddr c, RowAddr dst, const BitVector* payload) {
   if (fault_ != nullptr) {
     // Retention process: one tick per executed command, occasionally
     // decaying a stored data-row cell.
@@ -52,7 +35,6 @@ void Subarray::record(CommandKind k, Opcode op, RowAddr a, RowAddr b,
     if (payload != nullptr) e.payload = *payload;
     trace_->record(e);
   }
-  ++stats_.counts[static_cast<std::size_t>(k)];
 }
 
 const BitVector& Subarray::read_row(RowAddr r) {
@@ -101,17 +83,8 @@ void Subarray::aap_xnor(RowAddr xa, RowAddr xb, RowAddr dst) {
   check_row(dst);
   PIMA_CHECK(xa != xb, "two-row activation needs two distinct rows");
   record(CommandKind::kAapTwoRow, Opcode::kAapXnor, xa, xb, 0, dst);
-  BitVector result = BitVector::bit_xnor(rows_[xa], rows_[xb]);
-  // A sensing fault corrupts what the SA drives — every copy of the result
-  // (restored operands, destination) gets the same wrong bits.
-  if (fault_ != nullptr)
-    fault_->corrupt_activation(CommandKind::kAapTwoRow, {xa, xb}, result);
-  // Charge sharing destroys both operands; the SA restores the result.
-  // dst may alias an operand row — move into it only when it is distinct,
-  // or the dst store would read the just-overwritten operand.
-  rows_[xa] = result;
-  rows_[xb] = result;
-  if (dst != xa && dst != xb) rows_[dst] = std::move(result);
+  rows_[xa].xnor_with(rows_[xb]);
+  sense(CommandKind::kAapTwoRow, xa, xb, dst);
 }
 
 void Subarray::aap_xor(RowAddr xa, RowAddr xb, RowAddr dst) {
@@ -120,12 +93,8 @@ void Subarray::aap_xor(RowAddr xa, RowAddr xb, RowAddr dst) {
   check_row(dst);
   PIMA_CHECK(xa != xb, "two-row activation needs two distinct rows");
   record(CommandKind::kAapTwoRow, Opcode::kAapXor, xa, xb, 0, dst);
-  BitVector result = BitVector::bit_xor(rows_[xa], rows_[xb]);
-  if (fault_ != nullptr)
-    fault_->corrupt_activation(CommandKind::kAapTwoRow, {xa, xb}, result);
-  rows_[xa] = result;
-  rows_[xb] = result;
-  if (dst != xa && dst != xb) rows_[dst] = std::move(result);
+  rows_[xa].xor_with(rows_[xb]);
+  sense(CommandKind::kAapTwoRow, xa, xb, dst);
 }
 
 void Subarray::aap_tra_carry(RowAddr xa, RowAddr xb, RowAddr xc, RowAddr dst) {
@@ -136,16 +105,15 @@ void Subarray::aap_tra_carry(RowAddr xa, RowAddr xb, RowAddr xc, RowAddr dst) {
   PIMA_CHECK(xa != xb && xb != xc && xa != xc,
              "TRA needs three distinct rows");
   record(CommandKind::kAapTra, Opcode::kAapTra, xa, xb, xc, dst);
-  BitVector maj = BitVector::bit_maj3(rows_[xa], rows_[xb], rows_[xc]);
+  rows_[xa].maj3_with(rows_[xb], rows_[xc]);
   if (fault_ != nullptr)
-    fault_->corrupt_activation(CommandKind::kAapTra, {xa, xb, xc}, maj);
-  rows_[xa] = maj;
-  rows_[xb] = maj;
-  rows_[xc] = maj;
+    fault_->corrupt_activation(CommandKind::kAapTra, {xa, xb, xc}, rows_[xa]);
+  rows_[xb] = rows_[xa];
+  rows_[xc] = rows_[xa];
   // add_vertical issues TRA with dst == xc, so the alias case is routine
   // production traffic, not a controller error.
-  if (dst != xa && dst != xb && dst != xc) rows_[dst] = maj;
-  latch_ = std::move(maj);
+  if (dst != xa && dst != xb && dst != xc) rows_[dst] = rows_[xa];
+  latch_ = rows_[xa];
 }
 
 void Subarray::sum_cycle(RowAddr xa, RowAddr xb, RowAddr dst) {
@@ -154,13 +122,18 @@ void Subarray::sum_cycle(RowAddr xa, RowAddr xb, RowAddr dst) {
   check_row(dst);
   PIMA_CHECK(xa != xb, "two-row activation needs two distinct rows");
   record(CommandKind::kSumCycle, Opcode::kSum, xa, xb, 0, dst);
-  BitVector sum =
-      BitVector::bit_xor(BitVector::bit_xor(rows_[xa], rows_[xb]), latch_);
-  if (fault_ != nullptr)
-    fault_->corrupt_activation(CommandKind::kSumCycle, {xa, xb}, sum);
-  rows_[xa] = sum;
-  rows_[xb] = sum;
-  if (dst != xa && dst != xb) rows_[dst] = std::move(sum);
+  rows_[xa].xor_with(rows_[xb]).xor_with(latch_);
+  sense(CommandKind::kSumCycle, xa, xb, dst);
+}
+
+void Subarray::sense(CommandKind k, RowAddr xa, RowAddr xb, RowAddr dst) {
+  // A sensing fault corrupts what the SA drives — every copy of the result
+  // (restored operands, destination) gets the same wrong bits.
+  if (fault_ != nullptr) fault_->corrupt_activation(k, {xa, xb}, rows_[xa]);
+  // Charge sharing destroys both operands; the SA restores the result.
+  // dst may alias an operand row, which then already holds the result.
+  rows_[xb] = rows_[xa];
+  if (dst != xa && dst != xb) rows_[dst] = rows_[xa];
 }
 
 void Subarray::reset_latch() {

@@ -18,6 +18,10 @@
 // Multi-row activation is only legal on computation rows (x1..x8) — the
 // modified row decoder enforces this — while AAP copies may address any row.
 //
+// Each primitive computes its result word by word into the first activated
+// row and copies it into the other activated rows (and dst, and the latch
+// for TRA): with no trace sink attached, no command allocates.
+//
 // Every operation counts one command of its kind into CommandStats; its
 // latency and energy are derived from the counts (command_cost), and are
 // computed per command only for an attached trace sink.
@@ -26,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "circuit/tech.hpp"
@@ -45,7 +50,9 @@ class Subarray {
 
   /// Address of computation row x{i+1}, i in [0, compute_rows).
   RowAddr compute_row(std::size_t i) const;
-  bool is_compute_row(RowAddr r) const;
+  bool is_compute_row(RowAddr r) const {
+    return r >= geom_.data_rows() && r < geom_.rows;
+  }
 
   /// Host-side row access through the row buffer (costed as ROW_READ/WRITE).
   const BitVector& read_row(RowAddr r);
@@ -146,11 +153,30 @@ class Subarray {
   void attach_trace(TraceSink* sink) { trace_ = sink; }
 
  private:
-  void check_row(RowAddr r) const;
-  void check_compute(RowAddr r, const char* what) const;
+  void check_row(RowAddr r) const {
+    PIMA_CHECK(r < geom_.rows, "row address out of sub-array");
+  }
+  void check_compute(RowAddr r, const char* what) const {
+    check_row(r);
+    PIMA_CHECK(is_compute_row(r),
+               std::string("multi-row activation outside computation rows: ") +
+                   what);
+  }
+  // Finishes a two-row activation whose sensed result the caller computed
+  // in place into xa: applies sensing faults to it and restores it into xb
+  // and dst.
+  void sense(CommandKind k, RowAddr xa, RowAddr xb, RowAddr dst);
+  // Counts one command of kind k; with a fault injector or trace sink
+  // attached, first runs the retention tick and records the trace entry.
   void record(CommandKind k, Opcode op, RowAddr a = 0, RowAddr b = 0,
               RowAddr c = 0, RowAddr dst = 0,
-              const BitVector* payload = nullptr);
+              const BitVector* payload = nullptr) {
+    if (fault_ != nullptr || trace_ != nullptr)
+      observe(k, op, a, b, c, dst, payload);
+    ++stats_.counts[static_cast<std::size_t>(k)];
+  }
+  void observe(CommandKind k, Opcode op, RowAddr a, RowAddr b, RowAddr c,
+               RowAddr dst, const BitVector* payload);
 
   Geometry geom_;
   circuit::Technology tech_;

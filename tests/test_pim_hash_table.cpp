@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
 #include <unordered_map>
 
 #include "dna/genome.hpp"
@@ -69,6 +71,53 @@ TEST(PimHashTable, KeysLiveInDramRows) {
     found = true;
   }
   EXPECT_TRUE(found);
+}
+
+// The key row holds Sequence::to_bits(0, k) zero padded to the row width —
+// checked against the row itself, not through the table's own decoder —
+// and extract() returns every inserted k-mer. k = 32 fills the whole first
+// word, the edge of the decoder's mask.
+TEST(PimHashTable, KeyRowImageIsTwoBitSequence) {
+  for (const std::size_t k : {std::size_t{15}, std::size_t{32}}) {
+    SCOPED_TRACE(k);
+    dram::Device dev(test_geometry());
+    runtime::DevicePool pool(dev, 1);
+    PimHashTable table(pool, 1);
+    const std::size_t width = test_geometry().columns;
+    dna::GenomeParams gp;
+    gp.length = 400;
+    gp.seed = 7 + k;
+    const auto genome = dna::generate_genome(gp);
+
+    std::multiset<std::string> expected_images;
+    std::set<Kmer> inserted;
+    for (std::size_t i = 0; i + k <= genome.size(); i += 3) {
+      const Kmer km = Kmer::from_sequence(genome, i, k);
+      if (!inserted.insert(km).second) continue;
+      BitVector image(width);
+      image.copy_range_from(genome.to_bits(i, k), 0);
+      expected_images.insert(image.to_string());
+      table.insert_or_increment(km);
+    }
+    ASSERT_GT(inserted.size(), 100u);
+
+    const dram::Subarray& sa = pool.subarray(table.shard_subarray_flat(0));
+    std::multiset<std::string> row_images;
+    for (std::size_t slot = 0; slot < table.layout().kmer_rows; ++slot)
+      if (table.peek_slot(0, slot))
+        row_images.insert(sa.peek_row(table.layout().kmer_row(slot))
+                              .to_string());
+    EXPECT_EQ(row_images, expected_images);
+
+    const auto entries = table.extract();
+    EXPECT_EQ(entries.size(), inserted.size());
+    std::set<Kmer> extracted;
+    for (const auto& [km, freq] : entries) {
+      EXPECT_EQ(freq, 1u);
+      extracted.insert(km);
+    }
+    EXPECT_EQ(extracted, inserted);
+  }
 }
 
 TEST(PimHashTable, SaturatingEightBitCounter) {
