@@ -41,6 +41,41 @@ void BM_SubarrayXnor(benchmark::State& state) {
 }
 BENCHMARK(BM_SubarrayXnor);
 
+// One carry-save bit step: the fused compress_bit μop (arg 1) against the
+// nine primitive calls it stands for (arg 0). Same rows, same result.
+void BM_CompressBit(benchmark::State& state) {
+  const bool fused = state.range(0) != 0;
+  dram::Subarray sa(micro_geometry(), circuit::default_technology());
+  Rng rng(11);
+  for (dram::RowAddr r = 0; r < 3; ++r) {
+    BitVector row(256);
+    for (std::size_t w = 0; w < row.word_count(); ++w)
+      row.set_word(w, rng());
+    sa.write_row(r, row);
+  }
+  const auto x1 = sa.compute_row(0), x2 = sa.compute_row(1),
+             x3 = sa.compute_row(2);
+  for (auto _ : state) {
+    if (fused) {
+      sa.compress_bit(0, 1, 2, 3, 4);
+    } else {
+      sa.aap_copy(0, x1);
+      sa.aap_copy(1, x2);
+      sa.aap_xor(x1, x2, x1);
+      sa.aap_copy(2, x2);
+      sa.aap_xor(x1, x2, 3);
+      sa.aap_copy(0, x1);
+      sa.aap_copy(1, x2);
+      sa.aap_copy(2, x3);
+      sa.aap_tra_carry(x1, x2, x3, 4);
+    }
+    benchmark::DoNotOptimize(sa.peek_row(4));
+  }
+  state.SetLabel(fused ? "fused" : "9 primitives");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 256);
+}
+BENCHMARK(BM_CompressBit)->Arg(0)->Arg(1);
+
 void BM_SubarrayAddVertical(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   dram::Subarray sa(micro_geometry(), circuit::default_technology());

@@ -65,6 +65,10 @@ class BitVector {
   std::size_t word_count() const { return words_.size(); }
   std::uint64_t word(std::size_t w) const { return words_[w]; }
   void set_word(std::size_t w, std::uint64_t v);
+  /// Raw words for fused multi-row kernels. A writer keeps the tail bits
+  /// zero, as XOR, AND, OR and MAJ3 of tail-zero operands do.
+  const std::uint64_t* data() const { return words_.data(); }
+  std::uint64_t* data() { return words_.data(); }
 
   /// Writes a bit range [lo, lo+src.size()) from `src` (src must fit).
   void copy_range_from(const BitVector& src, std::size_t lo);

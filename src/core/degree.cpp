@@ -1,6 +1,7 @@
 #include "core/degree.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "common/error.hpp"
@@ -41,43 +42,33 @@ class RowAllocator {
   std::vector<dram::RowAddr> free_;
 };
 
-// A vertical multi-bit number: row addresses LSB-first.
-using Number = std::vector<dram::RowAddr>;
+// A vertical multi-bit number: row addresses LSB-first, held inline so
+// the carry-save loop allocates nothing. 33 rows is a 32-bit readout plus
+// the final add's carry-out; anything wider could not be read out.
+class Number {
+ public:
+  static constexpr std::size_t kMaxBits = 33;
 
-// Computation rows x1..x3, looked up once per compression.
-struct ComputeRows {
-  explicit ComputeRows(const dram::Subarray& sa)
-      : x1(sa.compute_row(0)), x2(sa.compute_row(1)), x3(sa.compute_row(2)) {}
-  dram::RowAddr x1, x2, x3;
+  Number() = default;
+  explicit Number(dram::RowAddr r) { push_back(r); }
+
+  void push_back(dram::RowAddr r) {
+    PIMA_CHECK(size_ < kMaxBits, "vertical number wider than 33 bits");
+    rows_[size_++] = r;
+  }
+  std::size_t size() const { return size_; }
+  dram::RowAddr operator[](std::size_t i) const { return rows_[i]; }
+  const dram::RowAddr* begin() const { return rows_.data(); }
+  const dram::RowAddr* end() const { return rows_.data() + size_; }
+
+ private:
+  std::array<dram::RowAddr, kMaxBits> rows_{};
+  std::size_t size_ = 0;
 };
 
-// XOR3 of three data rows into a fresh row: x1 ← a, x2 ← b, XOR → x1 holds
-// a⊕b; x2 ← c, XOR → dst.
-dram::RowAddr xor3(dram::Subarray& sa, const ComputeRows& x,
-                   RowAllocator& alloc, dram::RowAddr a, dram::RowAddr b,
-                   dram::RowAddr c) {
-  const auto dst = alloc.alloc();
-  sa.aap_copy(a, x.x1);
-  sa.aap_copy(b, x.x2);
-  sa.aap_xor(x.x1, x.x2, x.x1);  // x1 = x2 = a⊕b
-  sa.aap_copy(c, x.x2);
-  sa.aap_xor(x.x1, x.x2, dst);
-  return dst;
-}
-
-// MAJ3 of three data rows into a fresh row via TRA.
-dram::RowAddr maj3(dram::Subarray& sa, const ComputeRows& x,
-                   RowAllocator& alloc, dram::RowAddr a, dram::RowAddr b,
-                   dram::RowAddr c) {
-  const auto dst = alloc.alloc();
-  sa.aap_copy(a, x.x1);
-  sa.aap_copy(b, x.x2);
-  sa.aap_copy(c, x.x3);
-  sa.aap_tra_carry(x.x1, x.x2, x.x3, dst);
-  return dst;
-}
-
 // 3:2 compression of three equal-width numbers: returns {sum, carry<<1}.
+// Each bit step is one Subarray::compress_bit into a fresh sum row and a
+// fresh carry row, allocated in that order.
 std::pair<Number, Number> compress(dram::Subarray& sa, RowAllocator& alloc,
                                    dram::RowAddr zero_row, const Number& a,
                                    const Number& b, const Number& c) {
@@ -85,30 +76,32 @@ std::pair<Number, Number> compress(dram::Subarray& sa, RowAllocator& alloc,
   auto bit = [&](const Number& n, std::size_t i) {
     return i < n.size() ? n[i] : zero_row;
   };
-  const ComputeRows x(sa);
-  Number sum, carry;
-  sum.reserve(w);
-  carry.reserve(w + 1);
-  carry.push_back(zero_row);  // carry has weight 2: shift left one bit
+  Number sum;
+  Number carry(zero_row);  // carry has weight 2: shift left one bit
   for (std::size_t i = 0; i < w; ++i) {
-    sum.push_back(xor3(sa, x, alloc, bit(a, i), bit(b, i), bit(c, i)));
-    carry.push_back(maj3(sa, x, alloc, bit(a, i), bit(b, i), bit(c, i)));
+    const auto s = alloc.alloc();
+    const auto k = alloc.alloc();
+    sa.compress_bit(bit(a, i), bit(b, i), bit(c, i), s, k);
+    sum.push_back(s);
+    carry.push_back(k);
   }
-  return {std::move(sum), std::move(carry)};
+  return {sum, carry};
 }
 
 // Bit-serial addition of two numbers via Subarray::add_vertical.
 Number add(dram::Subarray& sa, RowAllocator& alloc, dram::RowAddr zero_row,
            const Number& a, const Number& b) {
   const std::size_t w = std::max(a.size(), b.size());
-  Number ap = a, bp = b;
+  std::vector<dram::RowAddr> ap(a.begin(), a.end()), bp(b.begin(), b.end());
   ap.resize(w, zero_row);
   bp.resize(w, zero_row);
-  Number out = alloc.alloc_span(w);
+  const auto out = alloc.alloc_span(w);
   const auto carry_out = alloc.alloc();
   sa.add_vertical(ap, bp, out, carry_out);
-  out.push_back(carry_out);
-  return out;
+  Number sum;
+  for (const auto r : out) sum.push_back(r);
+  sum.push_back(carry_out);
+  return sum;
 }
 
 }  // namespace
@@ -141,21 +134,21 @@ std::vector<std::uint32_t> pim_column_sums(
     for (const auto r : n)
       if (r != zero_row) alloc.free(r);
   };
+  // Each level compacts in place: a triple's two outputs go to slots no
+  // later than its own, and only after the triple has been read.
   while (numbers.size() > 2) {
-    std::vector<Number> next;
-    next.reserve(numbers.size() - numbers.size() / 3);
-    std::size_t i = 0;
+    std::size_t i = 0, out = 0;
     for (; i + 3 <= numbers.size(); i += 3) {
-      auto [s, c] = compress(sa, alloc, zero_row, numbers[i], numbers[i + 1],
-                             numbers[i + 2]);
+      const auto [s, c] = compress(sa, alloc, zero_row, numbers[i],
+                                   numbers[i + 1], numbers[i + 2]);
       free_number(numbers[i]);
       free_number(numbers[i + 1]);
       free_number(numbers[i + 2]);
-      next.push_back(std::move(s));
-      next.push_back(std::move(c));
+      numbers[out++] = s;
+      numbers[out++] = c;
     }
-    for (; i < numbers.size(); ++i) next.push_back(std::move(numbers[i]));
-    numbers = std::move(next);
+    for (; i < numbers.size(); ++i) numbers[out++] = numbers[i];
+    numbers.resize(out);
   }
 
   // Final bit-serial addition.

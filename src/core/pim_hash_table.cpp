@@ -141,10 +141,19 @@ void PimHashTable::write_counter(std::size_t shard_index, std::size_t slot,
                                  : slot;
   const std::size_t off =
       (global % layout_.counters_per_row()) * layout_.counter_bits;
-  BitVector row = sa.peek_row(addr);
-  for (std::size_t b = 0; b < layout_.counter_bits; ++b)
-    row.set(off + b, (v >> b) & 1u);
-  sa.write_row(addr, row);
+  sa.update_row(addr, [&](BitVector& row) {
+    for (std::size_t b = 0; b < layout_.counter_bits; ++b)
+      row.set(off + b, (v >> b) & 1u);
+  });
+}
+
+void PimHashTable::stage_query(dram::Subarray& sa, const assembly::Kmer& kmer) {
+  // MEM_insert of the new query (Fig. 6) into the temp region. The row
+  // image is the 2-bit packed k-mer, zero padded.
+  sa.update_row(layout_.temp_row(0), [&](BitVector& row) {
+    row.fill(false);
+    row.set_word(0, kmer.packed());
+  });
 }
 
 std::uint32_t PimHashTable::insert_or_increment(const assembly::Kmer& kmer) {
@@ -157,11 +166,7 @@ std::uint32_t PimHashTable::insert_or_increment(const assembly::Kmer& kmer) {
   Shard& shard = shards_[shard_index];
   dram::Subarray& sa = shard_subarray(shard);
 
-  // Stage the query into the temp region (MEM_insert of the new query,
-  // Fig. 6). The row image is the 2-bit packed k-mer, zero padded.
-  BitVector query(pool_.geometry().columns);
-  query.set_word(0, kmer.packed());
-  sa.write_row(layout_.temp_row(0), query);
+  stage_query(sa, kmer);
 
   std::size_t slot = home_slot(kmer);
   for (std::size_t probes = 0; probes < layout_.kmer_rows; ++probes) {
@@ -197,9 +202,7 @@ std::optional<std::uint32_t> PimHashTable::lookup(const assembly::Kmer& kmer) {
   Shard& shard = shards_[shard_index];
   dram::Subarray& sa = shard_subarray(shard);
 
-  BitVector query(pool_.geometry().columns);
-  query.set_word(0, kmer.packed());
-  sa.write_row(layout_.temp_row(0), query);
+  stage_query(sa, kmer);
 
   std::size_t slot = home_slot(kmer);
   for (std::size_t probes = 0; probes < layout_.kmer_rows; ++probes) {

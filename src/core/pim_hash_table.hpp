@@ -130,6 +130,8 @@ class PimHashTable {
                               std::size_t slot) const;
   std::size_t home_slot(const assembly::Kmer& kmer) const;
 
+  /// Writes `kmer`'s row image into the shard's temp row (one ROW_WRITE).
+  void stage_query(dram::Subarray& sa, const assembly::Kmer& kmer);
   /// Row-parallel compare of the staged query against a key slot, through
   /// the recovery executor when one is attached.
   bool probe_matches(const Shard& shard, std::size_t slot, std::size_t k);

@@ -155,6 +155,50 @@ const BitVector& Subarray::dpu_fetch(RowAddr r) {
   return rows_[r];
 }
 
+void Subarray::compress_bit(RowAddr a, RowAddr b, RowAddr c, RowAddr sum,
+                            RowAddr carry) {
+  const RowAddr x1 = geom_.data_rows(), x2 = x1 + 1, x3 = x1 + 2;
+  // Row x1 is the first non-data row, so `< x1` is "an in-range data row".
+  const bool fused = fault_ == nullptr && trace_ == nullptr && a < x1 &&
+                     b < x1 && c < x1 && sum < x1 && carry < x1 &&
+                     sum != a && sum != b && sum != c;
+  if (!fused) {
+    aap_copy(a, x1);
+    aap_copy(b, x2);
+    aap_xor(x1, x2, x1);  // x1 = x2 = a⊕b
+    aap_copy(c, x2);
+    aap_xor(x1, x2, sum);
+    aap_copy(a, x1);
+    aap_copy(b, x2);
+    aap_copy(c, x3);
+    aap_tra_carry(x1, x2, x3, carry);
+    return;
+  }
+  stats_.counts[static_cast<std::size_t>(CommandKind::kAapCopy)] += 6;
+  stats_.counts[static_cast<std::size_t>(CommandKind::kAapTwoRow)] += 2;
+  stats_.counts[static_cast<std::size_t>(CommandKind::kAapTra)] += 1;
+  const std::uint64_t* pa = rows_[a].data();
+  const std::uint64_t* pb = rows_[b].data();
+  const std::uint64_t* pc = rows_[c].data();
+  std::uint64_t* ps = rows_[sum].data();
+  std::uint64_t* p1 = rows_[x1].data();
+  std::uint64_t* p2 = rows_[x2].data();
+  std::uint64_t* p3 = rows_[x3].data();
+  std::uint64_t* pl = latch_.data();
+  std::uint64_t* pk = rows_[carry].data();
+  for (std::size_t w = 0; w < latch_.word_count(); ++w) {
+    // Operands are read before any write: carry may alias a, b or c.
+    const std::uint64_t aw = pa[w], bw = pb[w], cw = pc[w];
+    const std::uint64_t maj = (aw & bw) | (cw & (aw | bw));
+    ps[w] = aw ^ bw ^ cw;
+    p1[w] = maj;
+    p2[w] = maj;
+    p3[w] = maj;
+    pl[w] = maj;
+    pk[w] = maj;  // last: when carry aliases sum, the TRA wrote it last
+  }
+}
+
 void Subarray::add_vertical(const std::vector<RowAddr>& a_rows,
                             const std::vector<RowAddr>& b_rows,
                             const std::vector<RowAddr>& sum_rows,

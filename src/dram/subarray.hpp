@@ -25,6 +25,14 @@
 // Every operation counts one command of its kind into CommandStats; its
 // latency and energy are derived from the counts (command_cost), and are
 // computed per command only for an attached trace sink.
+//
+// compress_bit is a μop in SIMDRAM's sense: the fixed 9-command sequence of
+// one carry-save bit step, issued as one unit. When nothing observes the
+// individual commands (no fault injector, no trace sink) and its rows are
+// plain data rows, it checks them once, adds the nine counts in bulk and
+// writes every row the sequence changes in one word pass; otherwise it
+// issues the nine primitives. It is not an ISA opcode: traces, replays and
+// the golden model only ever see the primitives.
 #pragma once
 
 #include <cstddef>
@@ -57,6 +65,25 @@ class Subarray {
   /// Host-side row access through the row buffer (costed as ROW_READ/WRITE).
   const BitVector& read_row(RowAddr r);
   void write_row(RowAddr r, const BitVector& bits);
+
+  /// write_row of the image `edit` makes from the stored row (the edit
+  /// keeps the row's width): one costed ROW_WRITE with that image as its
+  /// trace payload. With no fault injector or trace sink attached the row
+  /// is edited in place, with no copy.
+  template <class Edit>
+  void update_row(RowAddr r, Edit&& edit) {
+    check_row(r);
+    if (fault_ == nullptr && trace_ == nullptr) {
+      edit(rows_[r]);
+      ++stats_.counts[static_cast<std::size_t>(CommandKind::kRowWrite)];
+      return;
+    }
+    // The image is taken before write_row's retention tick, as a caller's
+    // copy of the row would be.
+    BitVector image = rows_[r];
+    edit(image);
+    write_row(r, image);
+  }
 
   /// Zero-cost inspection for tests/verification (no commands recorded).
   const BitVector& peek_row(RowAddr r) const;
@@ -122,6 +149,18 @@ class Subarray {
   const BitVector& dpu_fetch(RowAddr r);
 
   // ---- Composite operations built from the primitives ----
+
+  /// One 3:2 carry-save bit step (paper Fig. 8): sum ← a ⊕ b ⊕ c and
+  /// carry ← MAJ3(a, b, c), exactly the sequence
+  ///   copy a→x1, copy b→x2, XOR(x1, x2 → x1), copy c→x2, XOR(x1, x2 → sum),
+  ///   copy a→x1, copy b→x2, copy c→x3, TRA(x1, x2, x3 → carry)
+  /// (6 AAP copies, 2 two-row XORs, 1 TRA). x1..x3 and the latch end up
+  /// holding the carry; a, b and c may repeat, and carry may alias sum.
+  /// Fused when no fault injector or trace sink is attached, all five rows
+  /// are data rows and sum aliases none of a, b, c; otherwise it issues
+  /// the nine primitives.
+  void compress_bit(RowAddr a, RowAddr b, RowAddr c, RowAddr sum,
+                    RowAddr carry);
 
   /// Full bit-serial vertical addition (paper Fig. 8): interprets
   /// `a_rows`/`b_rows` as m-bit operands stored LSB-first across rows

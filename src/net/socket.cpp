@@ -172,6 +172,14 @@ ScopedFd listen_tcp(std::uint16_t port, int backlog) {
   return fd;
 }
 
+std::uint16_t local_port(const ScopedFd& fd) {
+  sockaddr_in addr{};
+  socklen_t len = sizeof(addr);
+  if (::getsockname(fd.get(), reinterpret_cast<sockaddr*>(&addr), &len) != 0)
+    throw_errno("getsockname");
+  return ntohs(addr.sin_port);
+}
+
 ScopedFd connect_unix(const std::string& path, double timeout_s) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;

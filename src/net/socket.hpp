@@ -65,6 +65,10 @@ ScopedFd listen_unix(const std::string& path, int backlog = 16);
 /// Binds and listens on loopback (127.0.0.1) TCP with SO_REUSEADDR.
 ScopedFd listen_tcp(std::uint16_t port, int backlog = 16);
 
+/// The local port a bound TCP socket holds (getsockname) — how a caller
+/// learns the ephemeral port that listen_tcp(0) was given.
+std::uint16_t local_port(const ScopedFd& fd);
+
 /// Connects to a unix socket / loopback TCP port. Retries EINTR and
 /// completes in-progress connects with poll(2). `timeout_s` bounds the
 /// whole attempt (0 = no deadline) → DeadlineExceededError on expiry.

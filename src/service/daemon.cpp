@@ -787,8 +787,11 @@ void Daemon::run() {
   net::ScopedFd tcp_listener;
   if (options_.tcp_port != 0) tcp_listener = net::listen_tcp(options_.tcp_port);
   net::ScopedFd http_listener;
-  if (options_.http_port != 0)
-    http_listener = net::listen_tcp(options_.http_port);
+  if (options_.http_port) {
+    http_listener = net::listen_tcp(*options_.http_port);
+    http_bound_port_.store(net::local_port(http_listener),
+                           std::memory_order_release);
+  }
 
   {
     // Recovered jobs may start immediately.
@@ -855,6 +858,7 @@ void Daemon::run() {
   unix_listener = net::ScopedFd();
   tcp_listener = net::ScopedFd();
   http_listener = net::ScopedFd();
+  http_bound_port_.store(0, std::memory_order_release);
   cv_.notify_all();
 
   // 2. Cancel running jobs in shutdown mode: they persist back to

@@ -35,6 +35,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,9 +53,10 @@ struct DaemonOptions {
   std::string socket_path;        ///< unix socket (required)
   std::uint16_t tcp_port = 0;     ///< loopback TCP, 0 = disabled
   /// Loopback HTTP introspection plane (GET /metrics, /healthz, /jobs);
-  /// 0 = disabled. /metrics serves the same deterministic fold as the
-  /// `metrics` verb, byte for byte.
-  std::uint16_t http_port = 0;
+  /// nullopt = disabled, 0 = an ephemeral port (read it back with
+  /// Daemon::http_port()). /metrics serves the same deterministic fold as
+  /// the `metrics` verb, byte for byte.
+  std::optional<std::uint16_t> http_port;
   std::string state_dir;          ///< job dirs + checkpoints (required)
   AdmissionPolicy admission;
   /// Cap on concurrently open client connections; a connection past the
@@ -91,6 +93,13 @@ class Daemon {
   }
 
   const DaemonOptions& options() const { return options_; }
+
+  /// The port the HTTP plane is bound to; 0 while it is off or not bound.
+  /// run() binds it before it serves its first connection, so it is valid
+  /// once any request on the daemon has been answered.
+  std::uint16_t http_port() const {
+    return http_bound_port_.load(std::memory_order_acquire);
+  }
 
  private:
   struct JobEntry {
@@ -154,6 +163,7 @@ class Daemon {
   // late signal can never write(2) into a closed or recycled fd.
   std::atomic<bool> shutdown_requested_{false};
   std::atomic<int> wake_write_{-1};
+  std::atomic<std::uint16_t> http_bound_port_{0};
   int wake_read_ = -1;
 
   // Connection bookkeeping: fds are shutdown() on daemon stop so blocked

@@ -101,6 +101,40 @@ TEST_P(ColumnSumProperty, MatchesSoftware) {
 INSTANTIATE_TEST_SUITE_P(RowCounts, ColumnSumProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 9, 16, 33, 64));
 
+// The kernel fuses each carry-save bit step (Subarray::compress_bit) unless
+// a trace sink is attached; both runs must leave the same sums, counts,
+// rows and latch.
+TEST(ColumnSums, FusedKernelMatchesTracedPrimitiveKernel) {
+  dram::Geometry g = degree_geometry();
+  g.rows = 1024;
+  g.columns = 256;
+  for (const std::size_t n_rows : {16u, 64u, 256u}) {
+    Rng rng(500 + n_rows);
+    std::vector<BitVector> rows;
+    for (std::size_t r = 0; r < n_rows; ++r) {
+      BitVector row(g.columns);
+      for (std::size_t c = 0; c < g.columns; ++c)
+        row.set(c, rng.bernoulli(0.3));
+      rows.push_back(std::move(row));
+    }
+    dram::Subarray fused(g, circuit::default_technology());
+    dram::Subarray traced(g, circuit::default_technology());
+    dram::TraceSink trace;
+    traced.attach_trace(&trace);
+    const auto fused_sums = pim_column_sums(fused, rows);
+    const auto traced_sums = pim_column_sums(traced, rows);
+    EXPECT_EQ(fused_sums, traced_sums) << n_rows;
+    for (std::size_t k = 0; k < dram::kCommandKindCount; ++k)
+      EXPECT_EQ(fused.stats().counts[k], traced.stats().counts[k])
+          << n_rows << " kind " << k;
+    EXPECT_EQ(trace.size(), traced.stats().total_commands() + 1)
+        << "every command plus add_vertical's latch reset is traced";
+    for (dram::RowAddr r = 0; r < g.rows; ++r)
+      ASSERT_EQ(fused.peek_row(r), traced.peek_row(r)) << n_rows << " " << r;
+    EXPECT_EQ(fused.peek_latch(), traced.peek_latch()) << n_rows;
+  }
+}
+
 TEST(PimDegrees, MatchesGraphDegrees) {
   dna::GenomeParams gp;
   gp.length = 400;

@@ -322,7 +322,7 @@ class DaemonHarness {
  public:
   explicit DaemonHarness(const std::string& name, AdmissionPolicy admission,
                          std::size_t max_connections = 64,
-                         std::uint16_t http_port = 0) {
+                         std::optional<std::uint16_t> http_port = {}) {
     state_dir_ = (fs::temp_directory_path() / ("pima_svc_" + name)).string();
     fs::remove_all(state_dir_);
     fs::create_directories(state_dir_);
@@ -465,9 +465,10 @@ std::string http_body(const std::string& response) {
 }
 
 TEST(ServiceDaemon, HttpPlaneServesMetricsHealthzAndJobs) {
-  const auto port =
-      static_cast<std::uint16_t>(21000 + (::getpid() % 20000));
-  DaemonHarness h("http", policy(8, 2, 6), 64, port);
+  // Port 0: the daemon binds an ephemeral port and reports it.
+  DaemonHarness h("http", policy(8, 2, 6), 64, 0);
+  const std::uint16_t port = h.daemon().http_port();
+  ASSERT_NE(port, 0);
   const std::string reads = h.state_dir() + "/reads.fa";
   write_small_reads(reads);
   const std::string id = h.submit(reads, 15, 8, 2);

@@ -406,5 +406,167 @@ TEST(SubarrayCrossValidation, FunctionalMatchesAnalogModel) {
               analog.carry(a.get(i), b.get(i), c.get(i)));
 }
 
+// ---- compress_bit against the nine primitives it stands for ----
+
+// Columns that are not a multiple of 64 also check the tail invariant.
+Geometry compress_geometry() {
+  Geometry g = small_geometry();
+  g.columns = 200;
+  return g;
+}
+
+void compress_primitives(Subarray& sa, RowAddr a, RowAddr b, RowAddr c,
+                         RowAddr sum, RowAddr carry) {
+  const RowAddr x1 = sa.compute_row(0), x2 = sa.compute_row(1),
+                x3 = sa.compute_row(2);
+  sa.aap_copy(a, x1);
+  sa.aap_copy(b, x2);
+  sa.aap_xor(x1, x2, x1);
+  sa.aap_copy(c, x2);
+  sa.aap_xor(x1, x2, sum);
+  sa.aap_copy(a, x1);
+  sa.aap_copy(b, x2);
+  sa.aap_copy(c, x3);
+  sa.aap_tra_carry(x1, x2, x3, carry);
+}
+
+// Two sub-arrays with the same random rows (compute rows and latch too):
+// one runs the μop, the other the primitive sequence.
+struct CompressPair {
+  explicit CompressPair(std::uint64_t seed)
+      : fused(compress_geometry(), circuit::default_technology()),
+        primitive(compress_geometry(), circuit::default_technology()) {
+    Rng rng(seed);
+    const std::size_t cols = fused.geometry().columns;
+    for (RowAddr r = 0; r < fused.geometry().rows; ++r) {
+      const auto row = random_row(rng, cols);
+      fused.write_row(r, row);
+      primitive.write_row(r, row);
+    }
+    for (std::size_t col = 0; col < cols; ++col) {
+      if (!rng.bernoulli(0.5)) continue;
+      fused.inject_latch_flip(col);
+      primitive.inject_latch_flip(col);
+    }
+  }
+
+  void run(RowAddr a, RowAddr b, RowAddr c, RowAddr sum, RowAddr carry) {
+    fused.compress_bit(a, b, c, sum, carry);
+    compress_primitives(primitive, a, b, c, sum, carry);
+  }
+
+  void expect_same_state() const {
+    for (RowAddr r = 0; r < fused.geometry().rows; ++r)
+      EXPECT_EQ(fused.peek_row(r), primitive.peek_row(r)) << "row " << r;
+    EXPECT_EQ(fused.peek_latch(), primitive.peek_latch());
+    for (std::size_t k = 0; k < kCommandKindCount; ++k)
+      EXPECT_EQ(fused.stats().counts[k], primitive.stats().counts[k])
+          << "kind " << k;
+  }
+
+  Subarray fused, primitive;
+};
+
+TEST(CompressBit, MatchesPrimitiveSequenceOnRandomRows) {
+  const RowAddr data = compress_geometry().data_rows();
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    CompressPair p(seed);
+    Rng pick(seed + 7);
+    for (int step = 0; step < 8; ++step) {
+      const RowAddr a = pick.uniform(data), b = pick.uniform(data),
+                    c = pick.uniform(data);
+      RowAddr sum = pick.uniform(data);
+      while (sum == a || sum == b || sum == c) sum = pick.uniform(data);
+      // About half the steps alias carry with sum or with operand a.
+      const RowAddr carry = pick.bernoulli(0.5) ? pick.uniform(data)
+                                                : (step % 2 ? sum : a);
+      p.run(a, b, c, sum, carry);
+    }
+    p.expect_same_state();
+    if (::testing::Test::HasFailure()) FAIL() << "seed " << seed;
+  }
+}
+
+TEST(CompressBit, RepeatedOperandsAndAliasedDestinations) {
+  // {a, b, c, sum, carry}: the repeated zero-row padding compress passes,
+  // a == b, carry == sum, carry == an operand, and sum aliasing an operand
+  // or a compute-row operand (both take the primitive fallback).
+  const RowAddr x4 = compress_geometry().data_rows() + 3;
+  const RowAddr cases[][5] = {
+      {0, 0, 0, 1, 2},  {3, 3, 4, 5, 6}, {3, 4, 3, 5, 6},
+      {7, 8, 9, 10, 10}, {7, 8, 9, 10, 8}, {7, 8, 9, 7, 11},
+      {7, 8, 9, 9, 11},  {x4, 8, 9, 10, 11}, {7, 8, 9, 10, x4},
+  };
+  for (std::uint64_t seed = 0; seed < 50; ++seed) {
+    for (const auto& k : cases) {
+      CompressPair p(seed);
+      p.run(k[0], k[1], k[2], k[3], k[4]);
+      p.expect_same_state();
+      if (::testing::Test::HasFailure())
+        FAIL() << "seed " << seed << " a=" << k[0] << " sum=" << k[3];
+    }
+  }
+}
+
+TEST(CompressBit, TracedRunRecordsThePrimitiveSequence) {
+  CompressPair p(3);
+  TraceSink fused_trace, primitive_trace;
+  p.fused.attach_trace(&fused_trace);
+  p.primitive.attach_trace(&primitive_trace);
+  p.run(0, 0, 0, 1, 2);
+  p.run(3, 4, 5, 6, 6);
+  p.expect_same_state();
+  ASSERT_EQ(fused_trace.size(), 18u);
+  ASSERT_EQ(fused_trace.size(), primitive_trace.size());
+  for (std::size_t i = 0; i < fused_trace.size(); ++i) {
+    const TraceEntry& f = fused_trace.entries()[i];
+    const TraceEntry& q = primitive_trace.entries()[i];
+    EXPECT_EQ(f.kind, q.kind) << i;
+    EXPECT_EQ(f.op, q.op) << i;
+    EXPECT_EQ(f.row_a, q.row_a) << i;
+    EXPECT_EQ(f.row_b, q.row_b) << i;
+    EXPECT_EQ(f.row_c, q.row_c) << i;
+    EXPECT_EQ(f.dst, q.dst) << i;
+    EXPECT_EQ(f.start_ns, q.start_ns) << i;
+    EXPECT_EQ(f.latency_ns, q.latency_ns) << i;
+    EXPECT_EQ(f.energy_pj, q.energy_pj) << i;
+    EXPECT_EQ(f.payload, q.payload) << i;
+  }
+  EXPECT_EQ(fused_trace.to_csv(), primitive_trace.to_csv());
+}
+
+TEST(CompressBit, OutOfRangeRowThrowsWhereThePrimitivesDo) {
+  CompressPair p(5);
+  const RowAddr past = compress_geometry().rows;
+  EXPECT_THROW(p.fused.compress_bit(0, 1, 2, past, 4), PreconditionError);
+  EXPECT_THROW(compress_primitives(p.primitive, 0, 1, 2, past, 4),
+               PreconditionError);
+  p.expect_same_state();
+}
+
+TEST(UpdateRow, OneCostedWriteWithTheEditedImageAsPayload) {
+  Subarray plain(small_geometry(), circuit::default_technology());
+  Subarray traced(small_geometry(), circuit::default_technology());
+  TraceSink trace;
+  traced.attach_trace(&trace);
+  Rng rng(9);
+  const auto row = random_row(rng, 64);
+  const auto edit = [](BitVector& r) { r.set(5, !r.get(5)); };
+  for (Subarray* sa : {&plain, &traced}) {
+    sa->write_row(3, row);
+    sa->update_row(3, edit);
+  }
+  BitVector want = row;
+  edit(want);
+  EXPECT_EQ(plain.peek_row(3), want);
+  EXPECT_EQ(traced.peek_row(3), want);
+  const auto writes = static_cast<std::size_t>(CommandKind::kRowWrite);
+  EXPECT_EQ(plain.stats().counts[writes], 2u);
+  EXPECT_EQ(traced.stats().counts[writes], 2u);
+  ASSERT_EQ(trace.size(), 2u);
+  EXPECT_EQ(trace.entries()[1].op, Opcode::kRowWrite);
+  EXPECT_EQ(trace.entries()[1].payload, want);
+}
+
 }  // namespace
 }  // namespace pima::dram

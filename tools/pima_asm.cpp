@@ -511,8 +511,8 @@ int cmd_serve(const Args& args) {
       args.get("socket").value_or(opt.state_dir + "/pima.sock");
   opt.tcp_port = static_cast<std::uint16_t>(
       get_bounded_size(args, "tcp", 0, 0, 65535));
-  opt.http_port = static_cast<std::uint16_t>(
-      get_bounded_size(args, "http", 0, 0, 65535));
+  if (const auto port = get_bounded_size(args, "http", 0, 0, 65535))
+    opt.http_port = static_cast<std::uint16_t>(port);
   opt.admission.max_jobs = get_bounded_size(args, "max-jobs", 2, 1, 64);
   opt.admission.queue_depth =
       get_bounded_size(args, "queue-depth", 8, 1, 4096);
@@ -546,9 +546,9 @@ int cmd_serve(const Args& args) {
   install_termination_handlers();
   std::printf("serve: listening on %s", opt.socket_path.c_str());
   if (opt.tcp_port != 0) std::printf(" and 127.0.0.1:%u", opt.tcp_port);
-  if (opt.http_port != 0)
+  if (opt.http_port)
     std::printf(" and http://127.0.0.1:%u (GET /metrics /healthz /jobs)",
-                opt.http_port);
+                *opt.http_port);
   std::printf(" (max-jobs %zu, queue-depth %zu, channel-budget %zu)\n",
               opt.admission.max_jobs, opt.admission.queue_depth,
               opt.admission.channel_budget);
