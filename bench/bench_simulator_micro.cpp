@@ -9,6 +9,7 @@
 #include "core/degree.hpp"
 #include "core/pim_hash_table.hpp"
 #include "dna/genome.hpp"
+#include "dram/dpu.hpp"
 #include "dram/subarray.hpp"
 #include "runtime/shard.hpp"
 
@@ -75,6 +76,31 @@ void BM_CompressBit(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 256);
 }
 BENCHMARK(BM_CompressBit)->Arg(0)->Arg(1);
+
+// One k-mer probe (k = 17, a matching key): the fused match_rows μop
+// (arg 1) against compare_rows + Dpu::and_reduce (arg 0), the sequence a
+// traced or fault-injected table issues. Same rows, same answer.
+void BM_HashProbe(benchmark::State& state) {
+  const bool fused = state.range(0) != 0;
+  dram::Subarray sa(micro_geometry(), circuit::default_technology());
+  Rng rng(12);
+  BitVector key(256);
+  key.set_word(0, rng() & ((std::uint64_t{1} << 34) - 1));
+  sa.write_row(0, key);
+  sa.write_row(1, key);
+  const auto result = sa.compute_row(3);
+  for (auto _ : state) {
+    if (fused) {
+      benchmark::DoNotOptimize(sa.match_rows(0, 1, result, 34));
+    } else {
+      sa.compare_rows(0, 1, result);
+      benchmark::DoNotOptimize(dram::Dpu::and_reduce(sa, result, 34));
+    }
+  }
+  state.SetLabel(fused ? "fused" : "compare_rows + and_reduce");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_HashProbe)->Arg(0)->Arg(1);
 
 void BM_SubarrayAddVertical(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));

@@ -19,6 +19,41 @@ std::uint64_t slot_hash(const assembly::Kmer& km) {
 assembly::Kmer decode_key(const BitVector& row, std::size_t k) {
   return assembly::Kmer(row.word(0) & assembly::Kmer::mask(k), k);
 }
+
+// A counter's bits [off, off + bits) of its value row, read and written as
+// one shifted mask of a single 64-bit word.
+struct CounterField {
+  CounterField(std::size_t off, std::size_t bits, std::size_t row_bits)
+      : word(off / 64),
+        shift(off % 64),
+        mask((std::uint64_t{1} << bits) - 1) {
+    PIMA_CHECK(bits < 64 && shift + bits <= 64 && off + bits <= row_bits,
+               "counter field must lie within one row word");
+  }
+  std::uint32_t get(const BitVector& row) const {
+    return static_cast<std::uint32_t>((row.word(word) >> shift) & mask);
+  }
+  void put(BitVector& row, std::uint32_t v) const {
+    row.set_word(word, (row.word(word) & ~(mask << shift)) |
+                           ((v & mask) << shift));
+  }
+
+  std::size_t word, shift;
+  std::uint64_t mask;
+};
+
+// Where slot's counter sits in its value row. Under kCentralValues the
+// shards' counters are numbered globally, so adjacent slots of different
+// shards can share a value row.
+CounterField counter_field(const ShardLayout& layout, MappingPolicy policy,
+                           std::size_t shard_index, std::size_t slot) {
+  const std::size_t global = policy == MappingPolicy::kCentralValues
+                                 ? shard_index * layout.kmer_rows + slot
+                                 : slot;
+  const std::size_t off =
+      (global % layout.counters_per_row()) * layout.counter_bits;
+  return CounterField(off, layout.counter_bits, layout.columns);
+}
 }  // namespace
 
 PimHashTable::PimHashTable(runtime::DevicePool& pool, std::size_t shards,
@@ -86,6 +121,8 @@ std::size_t PimHashTable::shard_subarray_flat(std::size_t shard) const {
 void PimHashTable::bind_key_length(std::size_t k) {
   PIMA_CHECK(k_ == 0 || k_ == k, "mixed k within one table");
   PIMA_CHECK(k >= 1 && k <= assembly::Kmer::kMaxK, "k out of range");
+  PIMA_CHECK(2 * k <= pool_.geometry().columns,
+             "k-mer exceeds row width (max 128 bp)");
   k_ = k;
 }
 
@@ -105,46 +142,30 @@ bool PimHashTable::probe_matches(const Shard& shard, std::size_t slot,
   // row, then DPU AND-reduction over the key bits. A false probe result
   // corrupts the table (duplicate keys or phantom increments), so this is
   // the op the recovery layer guards when fault-aware execution is on.
+  // With no recovery executor the probe is one Subarray::match_rows μop.
   dram::Subarray& sa = shard_subarray(shard);
   const dram::RowAddr result = sa.compute_row(3);
-  if (recovery_ != nullptr) {
-    recovery_->executor_for(shard.subarray_flat)
-        .compare_rows(layout_.temp_row(0), layout_.kmer_row(slot), result);
-  } else {
-    sa.compare_rows(layout_.temp_row(0), layout_.kmer_row(slot), result);
-  }
+  if (recovery_ == nullptr)
+    return sa.match_rows(layout_.temp_row(0), layout_.kmer_row(slot), result,
+                         2 * k);
+  recovery_->executor_for(shard.subarray_flat)
+      .compare_rows(layout_.temp_row(0), layout_.kmer_row(slot), result);
   return dram::Dpu::and_reduce(sa, result, 2 * k);
 }
 
 std::uint32_t PimHashTable::read_counter(std::size_t shard_index,
                                          std::size_t slot) {
   dram::Subarray& sa = value_subarray(shard_index);
-  const dram::RowAddr addr = value_row_for(shard_index, slot);
-  const std::size_t global = policy_ == MappingPolicy::kCentralValues
-                                 ? shard_index * layout_.kmer_rows + slot
-                                 : slot;
-  const std::size_t off =
-      (global % layout_.counters_per_row()) * layout_.counter_bits;
-  const BitVector& row = sa.read_row(addr);
-  std::uint32_t v = 0;
-  for (std::size_t b = 0; b < layout_.counter_bits; ++b)
-    if (row.get(off + b)) v |= std::uint32_t{1} << b;
-  return v;
+  return counter_field(layout_, policy_, shard_index, slot)
+      .get(sa.read_row(value_row_for(shard_index, slot)));
 }
 
 void PimHashTable::write_counter(std::size_t shard_index, std::size_t slot,
                                  std::uint32_t v) {
   dram::Subarray& sa = value_subarray(shard_index);
-  const dram::RowAddr addr = value_row_for(shard_index, slot);
-  const std::size_t global = policy_ == MappingPolicy::kCentralValues
-                                 ? shard_index * layout_.kmer_rows + slot
-                                 : slot;
-  const std::size_t off =
-      (global % layout_.counters_per_row()) * layout_.counter_bits;
-  sa.update_row(addr, [&](BitVector& row) {
-    for (std::size_t b = 0; b < layout_.counter_bits; ++b)
-      row.set(off + b, (v >> b) & 1u);
-  });
+  const CounterField field = counter_field(layout_, policy_, shard_index, slot);
+  sa.update_row(value_row_for(shard_index, slot),
+                [&](BitVector& row) { field.put(row, v); });
 }
 
 void PimHashTable::stage_query(dram::Subarray& sa, const assembly::Kmer& kmer) {
@@ -157,10 +178,8 @@ void PimHashTable::stage_query(dram::Subarray& sa, const assembly::Kmer& kmer) {
 }
 
 std::uint32_t PimHashTable::insert_or_increment(const assembly::Kmer& kmer) {
-  if (k_ == 0) k_ = kmer.k();
+  if (k_ == 0) bind_key_length(kmer.k());
   PIMA_CHECK(kmer.k() == k_, "mixed k within one table");
-  PIMA_CHECK(2 * k_ <= pool_.geometry().columns,
-             "k-mer exceeds row width (max 128 bp)");
 
   const std::size_t shard_index = shard_for(kmer);
   Shard& shard = shards_[shard_index];
@@ -228,16 +247,9 @@ PimHashTable::peek_slot(std::size_t shard, std::size_t slot) const {
           ? pool_.subarray_if(central_value_flat_)
           : sa_ptr;
   PIMA_CHECK(val_ptr != nullptr, "value array must be instantiated");
-  const std::size_t global = policy_ == MappingPolicy::kCentralValues
-                                 ? shard * layout_.kmer_rows + slot
-                                 : slot;
-  const BitVector& val_row = val_ptr->peek_row(value_row_for(shard, slot));
-  const std::size_t off =
-      (global % layout_.counters_per_row()) * layout_.counter_bits;
-  std::uint32_t v = 0;
-  for (std::size_t b = 0; b < layout_.counter_bits; ++b)
-    if (val_row.get(off + b)) v |= std::uint32_t{1} << b;
-  return std::make_pair(km, v);
+  const CounterField field = counter_field(layout_, policy_, shard, slot);
+  return std::make_pair(
+      km, field.get(val_ptr->peek_row(value_row_for(shard, slot))));
 }
 
 std::vector<std::pair<assembly::Kmer, std::uint32_t>>

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -412,6 +413,15 @@ PipelineResult run_pipeline(dram::Device& device,
                             const std::vector<dna::Sequence>& reads,
                             const PipelineOptions& options) {
   PIMA_CHECK(options.devices >= 1, "need at least one device");
+  // The de Bruijn stage writes its graph past the hash shards, so at least
+  // one sub-array must be left over; checked before stage 1 runs.
+  const std::size_t subarrays = device.geometry().total_subarrays();
+  if (options.hash_shards >= subarrays)
+    throw SimulationError(
+        std::to_string(options.hash_shards) + " hash shards leave no " +
+        "sub-array for the de Bruijn graph: the device has " +
+        std::to_string(subarrays) + " sub-arrays, so use at most " +
+        std::to_string(subarrays - 1) + " shards");
   if (options.isolate) {
     if (options.fault.enabled() ||
         options.recovery.mode != runtime::RecoveryMode::kOff)

@@ -1,5 +1,7 @@
 #include "dram/subarray.hpp"
 
+#include "dram/dpu.hpp"
+
 namespace pima::dram {
 
 Subarray::Subarray(const Geometry& geometry, const circuit::Technology& tech)
@@ -235,6 +237,46 @@ void Subarray::compare_rows(RowAddr a, RowAddr b, RowAddr result_row) {
   aap_copy(a, x1);
   aap_copy(b, x2);
   aap_xnor(x1, x2, result_row);
+}
+
+bool Subarray::match_rows(RowAddr a, RowAddr b, RowAddr result_row,
+                          std::size_t width) {
+  const RowAddr x1 = geom_.data_rows(), x2 = x1 + 1;
+  const bool fused = fault_ == nullptr && trace_ == nullptr && a < x1 &&
+                     b < x1 && result_row < geom_.rows &&
+                     width <= geom_.columns;
+  if (!fused) {
+    compare_rows(a, b, result_row);
+    return Dpu::and_reduce(*this, result_row, width);
+  }
+  stats_.counts[static_cast<std::size_t>(CommandKind::kAapCopy)] += 2;
+  stats_.counts[static_cast<std::size_t>(CommandKind::kAapTwoRow)] += 1;
+  stats_.counts[static_cast<std::size_t>(CommandKind::kDpuReduce)] += 1;
+  const std::uint64_t* pa = rows_[a].data();
+  const std::uint64_t* pb = rows_[b].data();
+  std::uint64_t* p1 = rows_[x1].data();
+  std::uint64_t* p2 = rows_[x2].data();
+  std::uint64_t* pr = rows_[result_row].data();
+  const std::size_t words = latch_.word_count();
+  const std::size_t tail = geom_.columns % 64;
+  bool match = true;
+  for (std::size_t w = 0; w < words; ++w) {
+    // XNOR sets the bits past the last column; the row keeps them zero.
+    std::uint64_t v = ~(pa[w] ^ pb[w]);
+    if (tail != 0 && w + 1 == words) v &= (std::uint64_t{1} << tail) - 1;
+    p1[w] = v;
+    p2[w] = v;
+    pr[w] = v;
+    // The AND-reduce sees the masked columns of [0, width) in this word.
+    const std::size_t lo = w * 64;
+    if (lo < width) {
+      const std::size_t take = width - lo;
+      const std::uint64_t mask =
+          take >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << take) - 1;
+      match = match && (v & mask) == mask;
+    }
+  }
+  return match;
 }
 
 }  // namespace pima::dram

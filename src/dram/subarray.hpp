@@ -31,8 +31,10 @@
 // individual commands (no fault injector, no trace sink) and its rows are
 // plain data rows, it checks them once, adds the nine counts in bulk and
 // writes every row the sequence changes in one word pass; otherwise it
-// issues the nine primitives. It is not an ISA opcode: traces, replays and
-// the golden model only ever see the primitives.
+// issues the nine primitives. match_rows is the k-mer probe's μop in the
+// same sense: compare_rows plus the DPU AND-reduction of its result. Neither
+// is an ISA opcode: traces, replays and the golden model only ever see the
+// primitives.
 #pragma once
 
 #include <cstddef>
@@ -179,6 +181,15 @@ class Subarray {
   /// leaves the per-column match bits in `result_row`. The DPU reduces the
   /// result separately.
   void compare_rows(RowAddr a, RowAddr b, RowAddr result_row);
+
+  /// The k-mer probe (paper Fig. 7): compare_rows(a, b, result_row), then
+  /// Dpu::and_reduce(*this, result_row, width) — true iff columns
+  /// [0, width) of a and b match (2 AAP copies, 1 two-row XNOR, 1
+  /// DPU_REDUCE). x1, x2 and result_row end up holding XNOR(a, b); a may
+  /// equal b, and result_row may alias x1 or x2. Fused when no fault
+  /// injector or trace sink is attached, a and b are data rows, result_row
+  /// is in range and width fits the row; otherwise it issues the primitives.
+  bool match_rows(RowAddr a, RowAddr b, RowAddr result_row, std::size_t width);
 
   const CommandStats& stats() const { return stats_; }
   /// Simulated busy time and energy of the recorded commands.

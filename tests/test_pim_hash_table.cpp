@@ -237,6 +237,121 @@ TEST(PimHashTable, ShardsSpreadAcrossSubarrays) {
   EXPECT_GE(dev.roll_up().subarrays_used, 6u);
 }
 
+// A stream that fills two shards to about 80% (long linear-probe chains),
+// drives a few counters past 255, and looks up absent k-mers (each walks a
+// chain to an empty slot).
+struct ProbeStream {
+  std::vector<Kmer> present, absent;
+};
+
+ProbeStream probe_stream(std::size_t k) {
+  dna::GenomeParams gp;
+  gp.length = 400;
+  gp.repeat_count = 0;
+  gp.seed = 31;
+  const auto genome = dna::generate_genome(gp);
+  ProbeStream s;
+  std::set<Kmer> seen;
+  for (std::size_t i = 0; i + k <= genome.size(); ++i) {
+    const Kmer km = Kmer::from_sequence(genome, i, k);
+    if (seen.insert(km).second) s.present.push_back(km);
+  }
+  gp.seed = 32;
+  const auto other = dna::generate_genome(gp);
+  for (std::size_t i = 0; i + k <= 60; ++i) {
+    const Kmer km = Kmer::from_sequence(other, i, k);
+    if (!seen.count(km)) s.absent.push_back(km);
+  }
+  return s;
+}
+
+// The fused probe (plain table) against the primitive probe (a trace sink
+// on every sub-array makes match_rows issue compare_rows + and_reduce): the
+// same k-mer stream must leave the same rows, counts and table.
+TEST(PimHashTable, FusedProbeMatchesTracedPrimitiveProbe) {
+  const std::size_t k = 16;
+  const ProbeStream stream = probe_stream(k);
+  for (const MappingPolicy policy :
+       {MappingPolicy::kCorrelated, MappingPolicy::kCentralValues}) {
+    SCOPED_TRACE(policy == MappingPolicy::kCorrelated ? "correlated"
+                                                      : "central values");
+    dram::Device plain_dev(test_geometry()), traced_dev(test_geometry());
+    runtime::DevicePool plain_pool(plain_dev, 1), traced_pool(traced_dev, 1);
+    traced_pool.enable_tracing();
+    PimHashTable plain(plain_pool, 2, 0, policy);
+    PimHashTable traced(traced_pool, 2, 0, policy);
+    ASSERT_GT(stream.present.size(), plain.capacity() * 3 / 4);
+    for (PimHashTable* t : {&plain, &traced}) {
+      for (const Kmer& km : stream.present) t->insert_or_increment(km);
+      for (std::size_t i = 0; i < 300; ++i)
+        for (std::size_t j = 0; j < 4; ++j)
+          t->insert_or_increment(stream.present[j * 50]);
+      for (std::size_t i = 0; i < stream.present.size(); i += 7)
+        t->insert_or_increment(stream.present[i]);
+      for (const Kmer& km : stream.absent) EXPECT_FALSE(t->lookup(km));
+      EXPECT_EQ(t->lookup(stream.present[0]).value(), 255u);
+    }
+    const std::size_t arrays =
+        policy == MappingPolicy::kCentralValues ? 3 : 2;
+    for (std::size_t flat = 0; flat < arrays; ++flat) {
+      const dram::Subarray& p = plain_pool.subarray(flat);
+      const dram::Subarray& q = traced_pool.subarray(flat);
+      for (dram::RowAddr r = 0; r < test_geometry().rows; ++r)
+        ASSERT_EQ(p.peek_row(r).to_string(), q.peek_row(r).to_string())
+            << "sub-array " << flat << " row " << r;
+      for (std::size_t kind = 0; kind < dram::kCommandKindCount; ++kind)
+        EXPECT_EQ(p.stats().counts[kind], q.stats().counts[kind])
+            << "sub-array " << flat << " kind " << kind;
+    }
+    ASSERT_NE(traced_dev.trace_if(0), nullptr);
+    EXPECT_GT(traced_dev.trace_if(0)->size(), 0u);
+    EXPECT_EQ(plain.extract(), traced.extract());
+  }
+}
+
+// Under kCentralValues adjacent slots of different shards share a value
+// row: a counter write, saturating ones included, leaves every other
+// counter as it was, and peek_slot reads what lookup reads.
+TEST(PimHashTable, CentralCounterWritesLeaveNeighboursIntact) {
+  dram::Device dev(test_geometry());
+  runtime::DevicePool pool(dev, 1);
+  PimHashTable table(pool, 2, 0, MappingPolicy::kCentralValues);
+  const ProbeStream stream = probe_stream(16);
+  std::unordered_map<Kmer, std::uint32_t> ref;
+  const auto check_all = [&] {
+    for (std::size_t shard = 0; shard < 2; ++shard)
+      for (std::size_t slot = 0; slot < table.layout().kmer_rows; ++slot) {
+        const auto entry = table.peek_slot(shard, slot);
+        if (!entry) continue;
+        ASSERT_EQ(entry->second, std::min<std::uint32_t>(ref.at(entry->first),
+                                                         255))
+            << "shard " << shard << " slot " << slot;
+      }
+  };
+  // 96 k-mers; k-mer i is inserted 1 + (37·i mod 300) times, so about
+  // a sixth of the counters saturate.
+  const std::size_t n = 96;
+  for (std::size_t round = 0; round < 300; ++round) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (round > (37 * i) % 300) continue;
+      const Kmer& km = stream.present[i];
+      EXPECT_EQ(table.insert_or_increment(km),
+                std::min<std::uint32_t>(++ref[km], 255));
+    }
+    check_all();
+    if (::testing::Test::HasFailure()) FAIL() << "round " << round;
+  }
+  check_all();
+  std::size_t saturated = 0;
+  for (std::size_t shard = 0; shard < 2; ++shard)
+    for (std::size_t slot = 0; slot < table.layout().kmer_rows; ++slot)
+      if (const auto entry = table.peek_slot(shard, slot)) {
+        EXPECT_EQ(table.lookup(entry->first).value(), entry->second);
+        if (entry->second == 255) ++saturated;
+      }
+  EXPECT_GT(saturated, 8u);
+}
+
 TEST(PimHashTable, ConstructorValidation) {
   dram::Device dev(test_geometry());
   runtime::DevicePool pool(dev, 1);

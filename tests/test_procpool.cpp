@@ -370,6 +370,48 @@ TEST(ProcPoolDegrade, DisallowedDegradeThrowsWorkerCrashedError) {
   telemetry::TelemetrySession::instance().reset();
 }
 
+// ---- configuration ----------------------------------------------------------
+
+// A shard count that leaves no sub-array for the de Bruijn graph is refused
+// before stage 1 issues a command, in process and isolated alike, with
+// exit code 1 (what an out-of-device shard range gets); one shard fewer runs.
+TEST(ProcPoolConfig, ShardCountLeavingNoGraphSubarrayFailsUpFront) {
+  const auto reads = workload_reads(16);
+  const std::size_t total = pipeline_geometry().total_subarrays();
+  const auto options = [&](std::size_t shards, std::size_t devices,
+                           bool isolate) {
+    core::PipelineOptions opt;
+    opt.k = 15;
+    opt.hash_shards = shards;
+    opt.devices = devices;
+    opt.threads = 2;
+    opt.isolate = isolate;
+    return opt;
+  };
+  const std::pair<std::size_t, bool> runs[] = {{1, false}, {4, false},
+                                               {4, true}};
+  for (const auto& [devices, isolate] : runs) {
+    SCOPED_TRACE(std::to_string(devices) + (isolate ? " isolated" : ""));
+    dram::Device device(pipeline_geometry());
+    try {
+      (void)core::run_pipeline(device, reads, options(total, devices, isolate));
+      ADD_FAILURE() << "expected SimulationError";
+    } catch (const SimulationError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "at most " + std::to_string(total - 1) + " shards"),
+                std::string::npos)
+          << e.what();
+      EXPECT_EQ(exit_code_for(e), kExitFailure);
+    }
+    EXPECT_EQ(device.roll_up().commands, 0u);
+  }
+  dram::Device device(pipeline_geometry());
+  const auto result =
+      core::run_pipeline(device, reads, options(total - 1, 1, false));
+  EXPECT_GT(result.distinct_kmers, 0u);
+  telemetry::TelemetrySession::instance().reset();
+}
+
 // ---- distributed observability ----------------------------------------------
 
 TEST(ProcPoolObservability, StitchedTraceHasWorkerSpansFlowsAndRestartTracks) {

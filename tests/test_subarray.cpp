@@ -4,6 +4,7 @@
 
 #include "circuit/sense_amp.hpp"
 #include "common/rng.hpp"
+#include "dram/dpu.hpp"
 
 namespace pima::dram {
 namespace {
@@ -406,10 +407,10 @@ TEST(SubarrayCrossValidation, FunctionalMatchesAnalogModel) {
               analog.carry(a.get(i), b.get(i), c.get(i)));
 }
 
-// ---- compress_bit against the nine primitives it stands for ----
+// ---- The μops against the primitives they stand for ----
 
 // Columns that are not a multiple of 64 also check the tail invariant.
-Geometry compress_geometry() {
+Geometry fused_geometry() {
   Geometry g = small_geometry();
   g.columns = 200;
   return g;
@@ -432,10 +433,10 @@ void compress_primitives(Subarray& sa, RowAddr a, RowAddr b, RowAddr c,
 
 // Two sub-arrays with the same random rows (compute rows and latch too):
 // one runs the μop, the other the primitive sequence.
-struct CompressPair {
-  explicit CompressPair(std::uint64_t seed)
-      : fused(compress_geometry(), circuit::default_technology()),
-        primitive(compress_geometry(), circuit::default_technology()) {
+struct FusedPair {
+  explicit FusedPair(std::uint64_t seed)
+      : fused(fused_geometry(), circuit::default_technology()),
+        primitive(fused_geometry(), circuit::default_technology()) {
     Rng rng(seed);
     const std::size_t cols = fused.geometry().columns;
     for (RowAddr r = 0; r < fused.geometry().rows; ++r) {
@@ -455,6 +456,25 @@ struct CompressPair {
     compress_primitives(primitive, a, b, c, sum, carry);
   }
 
+  // match_rows on one side, compare_rows + Dpu::and_reduce on the other;
+  // both must give the same answer.
+  bool match(RowAddr a, RowAddr b, RowAddr result, std::size_t width) {
+    const bool got = fused.match_rows(a, b, result, width);
+    primitive.compare_rows(a, b, result);
+    const bool want = Dpu::and_reduce(primitive, result, width);
+    EXPECT_EQ(got, want) << "a=" << a << " b=" << b << " width=" << width;
+    return got;
+  }
+
+  // Gives row b the image of row a on both sides, with column `flip`
+  // inverted when it is a column.
+  void make_near_copy(RowAddr a, RowAddr b, std::size_t flip) {
+    for (Subarray* sa : {&fused, &primitive}) {
+      sa->write_row(b, sa->peek_row(a));
+      if (flip < sa->geometry().columns) sa->inject_bit_flip(b, flip);
+    }
+  }
+
   void expect_same_state() const {
     for (RowAddr r = 0; r < fused.geometry().rows; ++r)
       EXPECT_EQ(fused.peek_row(r), primitive.peek_row(r)) << "row " << r;
@@ -467,10 +487,29 @@ struct CompressPair {
   Subarray fused, primitive;
 };
 
+void expect_same_trace(const TraceSink& got, const TraceSink& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const TraceEntry& f = got.entries()[i];
+    const TraceEntry& q = want.entries()[i];
+    EXPECT_EQ(f.kind, q.kind) << i;
+    EXPECT_EQ(f.op, q.op) << i;
+    EXPECT_EQ(f.row_a, q.row_a) << i;
+    EXPECT_EQ(f.row_b, q.row_b) << i;
+    EXPECT_EQ(f.row_c, q.row_c) << i;
+    EXPECT_EQ(f.dst, q.dst) << i;
+    EXPECT_EQ(f.start_ns, q.start_ns) << i;
+    EXPECT_EQ(f.latency_ns, q.latency_ns) << i;
+    EXPECT_EQ(f.energy_pj, q.energy_pj) << i;
+    EXPECT_EQ(f.payload, q.payload) << i;
+  }
+  EXPECT_EQ(got.to_csv(), want.to_csv());
+}
+
 TEST(CompressBit, MatchesPrimitiveSequenceOnRandomRows) {
-  const RowAddr data = compress_geometry().data_rows();
+  const RowAddr data = fused_geometry().data_rows();
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
-    CompressPair p(seed);
+    FusedPair p(seed);
     Rng pick(seed + 7);
     for (int step = 0; step < 8; ++step) {
       const RowAddr a = pick.uniform(data), b = pick.uniform(data),
@@ -491,7 +530,7 @@ TEST(CompressBit, RepeatedOperandsAndAliasedDestinations) {
   // {a, b, c, sum, carry}: the repeated zero-row padding compress passes,
   // a == b, carry == sum, carry == an operand, and sum aliasing an operand
   // or a compute-row operand (both take the primitive fallback).
-  const RowAddr x4 = compress_geometry().data_rows() + 3;
+  const RowAddr x4 = fused_geometry().data_rows() + 3;
   const RowAddr cases[][5] = {
       {0, 0, 0, 1, 2},  {3, 3, 4, 5, 6}, {3, 4, 3, 5, 6},
       {7, 8, 9, 10, 10}, {7, 8, 9, 10, 8}, {7, 8, 9, 7, 11},
@@ -499,7 +538,7 @@ TEST(CompressBit, RepeatedOperandsAndAliasedDestinations) {
   };
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
     for (const auto& k : cases) {
-      CompressPair p(seed);
+      FusedPair p(seed);
       p.run(k[0], k[1], k[2], k[3], k[4]);
       p.expect_same_state();
       if (::testing::Test::HasFailure())
@@ -509,38 +548,156 @@ TEST(CompressBit, RepeatedOperandsAndAliasedDestinations) {
 }
 
 TEST(CompressBit, TracedRunRecordsThePrimitiveSequence) {
-  CompressPair p(3);
+  FusedPair p(3);
   TraceSink fused_trace, primitive_trace;
   p.fused.attach_trace(&fused_trace);
   p.primitive.attach_trace(&primitive_trace);
   p.run(0, 0, 0, 1, 2);
   p.run(3, 4, 5, 6, 6);
   p.expect_same_state();
-  ASSERT_EQ(fused_trace.size(), 18u);
-  ASSERT_EQ(fused_trace.size(), primitive_trace.size());
-  for (std::size_t i = 0; i < fused_trace.size(); ++i) {
-    const TraceEntry& f = fused_trace.entries()[i];
-    const TraceEntry& q = primitive_trace.entries()[i];
-    EXPECT_EQ(f.kind, q.kind) << i;
-    EXPECT_EQ(f.op, q.op) << i;
-    EXPECT_EQ(f.row_a, q.row_a) << i;
-    EXPECT_EQ(f.row_b, q.row_b) << i;
-    EXPECT_EQ(f.row_c, q.row_c) << i;
-    EXPECT_EQ(f.dst, q.dst) << i;
-    EXPECT_EQ(f.start_ns, q.start_ns) << i;
-    EXPECT_EQ(f.latency_ns, q.latency_ns) << i;
-    EXPECT_EQ(f.energy_pj, q.energy_pj) << i;
-    EXPECT_EQ(f.payload, q.payload) << i;
-  }
-  EXPECT_EQ(fused_trace.to_csv(), primitive_trace.to_csv());
+  EXPECT_EQ(fused_trace.size(), 18u);
+  expect_same_trace(fused_trace, primitive_trace);
 }
 
 TEST(CompressBit, OutOfRangeRowThrowsWhereThePrimitivesDo) {
-  CompressPair p(5);
-  const RowAddr past = compress_geometry().rows;
+  FusedPair p(5);
+  const RowAddr past = fused_geometry().rows;
   EXPECT_THROW(p.fused.compress_bit(0, 1, 2, past, 4), PreconditionError);
   EXPECT_THROW(compress_primitives(p.primitive, 0, 1, 2, past, 4),
                PreconditionError);
+  p.expect_same_state();
+}
+
+TEST(MatchRows, MatchesPrimitiveSequenceOnRandomRows) {
+  const RowAddr data = fused_geometry().data_rows();
+  const std::size_t cols = fused_geometry().columns;
+  const RowAddr x1 = data, x2 = data + 1, x4 = data + 3;
+  const std::size_t widths[] = {0, 1, 63, 64, 65, cols};
+  std::size_t matches = 0, probes = 0;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    FusedPair p(seed);
+    Rng pick(seed + 11);
+    for (int step = 0; step < 12; ++step) {
+      const RowAddr a = pick.uniform(data);
+      RowAddr b = pick.uniform(data);
+      // A third of the probes compare a key that equals a, or differs from
+      // it in one column, so both answers occur at every width.
+      if (step % 3 == 0 && b != a)
+        p.make_near_copy(a, b,
+                         pick.bernoulli(0.3) ? cols : pick.uniform(cols));
+      if (step == 5) b = a;
+      const RowAddr results[] = {x4, x1, x2, pick.uniform(data)};
+      const RowAddr result = results[pick.uniform(4)];
+      const std::size_t width = pick.bernoulli(0.5)
+                                    ? widths[pick.uniform(6)]
+                                    : pick.uniform(cols + 1);
+      if (p.match(a, b, result, width)) ++matches;
+      ++probes;
+    }
+    p.expect_same_state();
+    if (::testing::Test::HasFailure()) FAIL() << "seed " << seed;
+  }
+  // Both outcomes were exercised.
+  EXPECT_GT(matches, probes / 10);
+  EXPECT_LT(matches, probes - probes / 10);
+}
+
+TEST(MatchRows, WidthMasksExactlyTheFirstColumns) {
+  // b differs from a in one column d: the probe matches iff d >= width.
+  const std::size_t cols = fused_geometry().columns;
+  const RowAddr x4 = fused_geometry().data_rows() + 3;
+  for (const std::size_t width : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{63}, std::size_t{64},
+                                  std::size_t{65}, cols}) {
+    for (const std::size_t d : {std::size_t{0}, width - 1, width, width + 1,
+                                std::size_t{63}, std::size_t{64},
+                                cols - 1}) {
+      if (d >= cols) continue;
+      FusedPair p(width * 1000 + d);
+      p.make_near_copy(3, 4, d);
+      EXPECT_EQ(p.match(3, 4, x4, width), d >= width)
+          << "width " << width << " differing column " << d;
+      // Equal rows match at every width.
+      EXPECT_TRUE(p.match(3, 3, x4, width)) << "width " << width;
+      p.expect_same_state();
+    }
+  }
+}
+
+TEST(MatchRows, TracedRunRecordsThePrimitiveSequence) {
+  FusedPair p(4);
+  TraceSink fused_trace, primitive_trace;
+  p.fused.attach_trace(&fused_trace);
+  p.primitive.attach_trace(&primitive_trace);
+  const RowAddr x1 = fused_geometry().data_rows();
+  p.make_near_copy(1, 2, 70);
+  p.match(1, 2, x1 + 3, 64);
+  p.match(1, 2, x1 + 3, 71);
+  p.match(5, 5, x1, 200);
+  p.match(6, 7, 8, 33);
+  p.expect_same_state();
+  EXPECT_EQ(fused_trace.size(), 1u + 4u * 4);  // one row write, 4 probes
+  expect_same_trace(fused_trace, primitive_trace);
+}
+
+TEST(MatchRows, FaultInjectedRunMakesTheSameDraws) {
+  FaultConfig cfg;
+  cfg.variation = 0.30;
+  cfg.rate_multiplier = 50.0;
+  cfg.retention_flip_per_op = 0.2;
+  cfg.calibration_trials = 300;
+  const auto model = std::make_shared<const FaultModel>(
+      circuit::default_technology().tech, cfg);
+  FusedPair p(6);
+  const auto fi = std::make_shared<FaultInjector>(model, 3, fused_geometry());
+  const auto pi = std::make_shared<FaultInjector>(model, 3, fused_geometry());
+  p.fused.attach_fault_injector(fi);
+  p.primitive.attach_fault_injector(pi);
+  Rng pick(8);
+  const RowAddr data = fused_geometry().data_rows();
+  const std::size_t cols = fused_geometry().columns;
+  for (int step = 0; step < 200; ++step) {
+    const RowAddr a = pick.uniform(data), b = pick.uniform(data);
+    if (step % 2 == 0 && a != b) p.make_near_copy(a, b, cols);
+    p.match(a, b, data + 3, pick.uniform(cols + 1));
+  }
+  p.expect_same_state();
+  EXPECT_GT(fi->counters().compute_flips, 0u);
+  EXPECT_GT(fi->counters().retention_flips, 0u);
+  EXPECT_EQ(fi->counters().compute_flips, pi->counters().compute_flips);
+  EXPECT_EQ(fi->counters().retention_flips, pi->counters().retention_flips);
+  EXPECT_EQ(fi->counters().faulty_ops, pi->counters().faulty_ops);
+}
+
+TEST(MatchRows, OutOfRangeRowsAndWidthsThrowWhereThePrimitivesDo) {
+  const Geometry g = fused_geometry();
+  const RowAddr x1 = g.data_rows(), x2 = x1 + 1, x4 = x1 + 3;
+  // {a, b, result, width}: a row past the array in each position, operands
+  // staged from compute rows (x1 onto itself, x2 onto itself), and a width
+  // past the row.
+  const std::size_t cases[][4] = {
+      {g.rows, 1, x4, 8},  {1, g.rows, x4, 8},  {1, 2, g.rows, 8},
+      {x1, 2, x4, 8},      {1, x2, x4, 8},      {1, 2, x4, g.columns + 1},
+      {1, 2, 3, g.columns + 64},
+  };
+  for (const auto& c : cases) {
+    FusedPair p(c[0] + c[1] + c[2] + c[3]);
+    EXPECT_THROW(p.fused.match_rows(c[0], c[1], c[2], c[3]),
+                 PreconditionError);
+    EXPECT_THROW(
+        {
+          p.primitive.compare_rows(c[0], c[1], c[2]);
+          Dpu::and_reduce(p.primitive, c[2], c[3]);
+        },
+        PreconditionError);
+    p.expect_same_state();
+    if (::testing::Test::HasFailure())
+      FAIL() << "a=" << c[0] << " b=" << c[1] << " result=" << c[2]
+             << " width=" << c[3];
+  }
+  // A compute-row operand that the copy accepts takes the primitive path.
+  FusedPair p(9);
+  p.match(x4, 1, 2, 64);
   p.expect_same_state();
 }
 
