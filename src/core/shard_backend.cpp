@@ -1,9 +1,7 @@
 #include "core/shard_backend.hpp"
 
-#include <algorithm>
 #include <exception>
 #include <filesystem>
-#include <iterator>
 #include <string>
 
 #include "core/degree.hpp"
@@ -258,21 +256,12 @@ class IsolatedBackend final : public ShardBackend {
   }
 
   dram::Program captured_program() override {
-    // Each flat has one owner, so sorting every worker's parts by flat
-    // gives the logical flat order of the in-process capture.
-    std::vector<std::pair<std::size_t, dram::Program>> parts;
-    for (std::size_t d = 0; d < sup_.devices(); ++d) {
-      auto part = trace_entries(sup_.query(d, verb_request("trace")));
-      parts.insert(parts.end(), std::make_move_iterator(part.begin()),
-                   std::make_move_iterator(part.end()));
-    }
-    std::sort(parts.begin(), parts.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    dram::Program program;
-    for (auto& [flat, part] : parts)
-      program.insert(program.end(), std::make_move_iterator(part.begin()),
-                     std::make_move_iterator(part.end()));
-    return program;
+    std::vector<dram::Program> parts;
+    parts.reserve(sup_.devices());
+    for (std::size_t d = 0; d < sup_.devices(); ++d)
+      parts.push_back(fetch_trace(
+          [&](const net::Json& request) { return sup_.query(d, request); }));
+    return dram::merge_by_flat(std::move(parts));
   }
 
  private:

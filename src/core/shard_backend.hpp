@@ -77,7 +77,8 @@ class ShardBackend {
   /// Stage boundary (worker span harvest, journal truncation, shard
   /// checkpoints).
   virtual void mark_stage_done(std::uint32_t /*stage*/) {}
-  /// Every traced command, concatenated in logical flat order.
+  /// Every traced command in logical flat order: the per-device captures
+  /// joined by dram::merge_by_flat.
   virtual dram::Program captured_program() = 0;
   /// Fault counters of this run (zero without the fault model).
   virtual runtime::FaultStats fault_stats() const { return {}; }

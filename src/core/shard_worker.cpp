@@ -207,15 +207,41 @@ std::vector<std::pair<std::size_t, dram::CommandStats>> stats_entries(
   return out;
 }
 
-std::vector<std::pair<std::size_t, dram::Program>> trace_entries(
-    const net::Json& response) {
-  std::vector<std::pair<std::size_t, dram::Program>> out;
-  for (const auto& entry : response.get("programs").items()) {
-    std::istringstream in(entry.get_string("text"));
-    out.emplace_back(static_cast<std::size_t>(entry.get_uint64("flat")),
-                     dram::parse_program(in));
+net::Json trace_page(const dram::Program& capture, std::size_t cursor,
+                     std::size_t budget) {
+  if (cursor > capture.size()) bad_request("trace cursor past the capture");
+  std::string text;
+  std::size_t next = cursor;
+  for (; next < capture.size(); ++next) {
+    const std::string line = dram::to_text(capture[next]) + '\n';
+    if (next > cursor && text.size() + line.size() > budget) break;
+    text += line;
   }
-  return out;
+  net::Json resp = ok_response();
+  resp.set("text", std::move(text));
+  resp.set("next", static_cast<std::uint64_t>(next));
+  resp.set("done", next == capture.size());
+  return resp;
+}
+
+dram::Program fetch_trace(
+    const std::function<net::Json(const net::Json&)>& query) {
+  dram::Program program;
+  std::uint64_t cursor = 0;
+  for (bool done = false; !done;) {
+    net::Json req = verb_request("trace");
+    req.set("cursor", cursor);
+    const net::Json page = query(req);
+    std::istringstream in(page.get_string("text"));
+    for (auto& inst : dram::parse_program(in))
+      program.push_back(std::move(inst));
+    const std::uint64_t next = page.get_uint64("next");
+    done = page.get_bool("done");
+    if (!done && next <= cursor)
+      throw InputFormatError("trace page did not advance its cursor");
+    cursor = next;
+  }
+  return program;
 }
 
 ShardWorkerCore::ShardWorkerCore(const net::Json& init)
@@ -265,7 +291,7 @@ net::Json ShardWorkerCore::handle(const net::Json& request) {
   if (op == "degree_block") return op_degree_block(request);
   if (op == "stats") return op_stats();
   if (op == "clear_stats") return op_clear_stats();
-  if (op == "trace") return op_trace();
+  if (op == "trace") return op_trace(request);
   if (op == "telemetry") return op_telemetry();
   if (op == "ping") return ok_response();
   if (op == "shutdown") {
@@ -427,24 +453,15 @@ net::Json ShardWorkerCore::op_clear_stats() {
   return ok_response();
 }
 
-net::Json ShardWorkerCore::op_trace() {
-  net::Json programs = net::Json::array();
-  if (device_.tracing()) {
-    const std::size_t total = device_.geometry().total_subarrays();
-    for (std::size_t flat = 0; flat < total; ++flat) {
-      const dram::TraceSink* sink = device_.trace_if(flat);
-      if (sink == nullptr || sink->entries().empty()) continue;
-      const dram::Program program = dram::program_from_trace(
-          sink->entries(), flat, device_.geometry().columns);
-      net::Json entry = net::Json::object();
-      entry.set("flat", static_cast<std::uint64_t>(flat));
-      entry.set("text", dram::to_text(program));
-      programs.push_back(std::move(entry));
-    }
-  }
-  net::Json resp = ok_response();
-  resp.set("programs", std::move(programs));
-  return resp;
+net::Json ShardWorkerCore::op_trace(const net::Json& req) {
+  // One paging pass walks the device once: the walk is taken at cursor 0
+  // (or by a restarted worker, whose journal replay rebuilt the same
+  // sinks) and dropped with the last page.
+  const auto cursor = static_cast<std::size_t>(req.get_uint64("cursor"));
+  if (cursor == 0 || !capture_) capture_ = dram::captured_program(device_);
+  net::Json page = trace_page(*capture_, cursor, kTracePageBytes);
+  if (page.get_bool("done")) capture_.reset();
+  return page;
 }
 
 net::Json ShardWorkerCore::op_telemetry() {

@@ -23,7 +23,9 @@
 //   stats         per-sub-array CommandStats (per-kind counts + wait_ns)
 //                 of every touched sub-array
 //   clear_stats   stage-boundary statistics reset
-//   trace         per-sub-array replay programs (oracle capture)
+//   trace         one page of the worker's capture (oracle replay): whole
+//                 instructions of dram::captured_program() from a cursor,
+//                 at most kTracePageBytes of text, plus the next cursor
 //   telemetry     cumulative span-buffer export for trace stitching
 //   ping          liveness probe
 //   shutdown      graceful exit handshake
@@ -41,7 +43,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -101,9 +105,24 @@ std::vector<std::pair<assembly::Kmer, std::uint32_t>> extract_entries(
 /// A `stats` response: (flat, stats) of every touched sub-array.
 std::vector<std::pair<std::size_t, dram::CommandStats>> stats_entries(
     const net::Json& response);
-/// A `trace` response: (flat, replay program) of every traced sub-array.
-std::vector<std::pair<std::size_t, dram::Program>> trace_entries(
-    const net::Json& response);
+
+// ---- The paged `trace` verb ----
+
+/// Program text one `trace` reply carries at most: whole instructions, with
+/// the line far below net::LineChannel::kMaxLineBytes.
+constexpr std::size_t kTracePageBytes = std::size_t{8} << 20;
+
+/// The `trace` reply for the page of `capture` that starts at instruction
+/// `cursor`: the instructions as program text, as many as fit in `budget`
+/// bytes (at least one), plus the next cursor and whether the capture is
+/// done.
+net::Json trace_page(const dram::Program& capture, std::size_t cursor,
+                     std::size_t budget);
+
+/// Pages a worker's whole capture through `query` (which sends one `trace`
+/// request and returns its reply), from cursor 0 until the reply says done.
+dram::Program fetch_trace(
+    const std::function<net::Json(const net::Json&)>& query);
 
 class ShardWorkerCore {
  public:
@@ -129,7 +148,7 @@ class ShardWorkerCore {
   net::Json op_degree_block(const net::Json& req);
   net::Json op_stats();
   net::Json op_clear_stats();
-  net::Json op_trace();
+  net::Json op_trace(const net::Json& req);
   net::Json op_telemetry();
 
   WorkerInit init_;
@@ -138,6 +157,8 @@ class ShardWorkerCore {
   std::unique_ptr<runtime::Engine> engine_;
   std::unique_ptr<PimHashTable> table_;
   bool shutdown_ = false;
+  /// The capture being paged out by `trace` requests.
+  std::optional<dram::Program> capture_;
 };
 
 /// Maps an exception to the wire error-type name the supervisor's

@@ -11,8 +11,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 #include "circuit/tech.hpp"
+#include "common/bitvector.hpp"
+#include "dram/geometry.hpp"
 
 namespace pima::dram {
 
@@ -44,10 +47,10 @@ constexpr std::string_view to_string(CommandKind k) {
 constexpr std::size_t kCommandKindCount = 8;
 
 /// Instruction opcodes of the AAP ISA (isa.hpp gives them a text format and
-/// an executor). Declared here, next to CommandKind, because the trace layer
-/// records the precise opcode alongside the costed command kind: CommandKind
-/// is the cost/energy class (XNOR and XOR are both kAapTwoRow) while Opcode
-/// is the replay-exact operation.
+/// an executor). Declared here, next to CommandKind, because a sub-array's
+/// trace records each command as the Instruction that replays it: Opcode is
+/// the replay-exact operation, and kind_of() its cost/energy class (XNOR and
+/// XOR are both kAapTwoRow).
 enum class Opcode : std::uint8_t {
   kAapCopy,    ///< type-1: AAP(src, des, size)
   kAapXnor,    ///< type-2: AAP(src1, src2, des, size), MUX → XNOR2
@@ -61,6 +64,43 @@ enum class Opcode : std::uint8_t {
   kDpuOr,      ///< DPU OR-reduce
   kDpuPopcount ///< DPU popcount
 };
+
+/// The cost class of an opcode.
+constexpr CommandKind kind_of(Opcode op) {
+  switch (op) {
+    case Opcode::kAapCopy: return CommandKind::kAapCopy;
+    case Opcode::kAapXnor:
+    case Opcode::kAapXor: return CommandKind::kAapTwoRow;
+    case Opcode::kAapTra: return CommandKind::kAapTra;
+    case Opcode::kSum: return CommandKind::kSumCycle;
+    case Opcode::kResetLatch: return CommandKind::kLatchReset;
+    case Opcode::kRowWrite: return CommandKind::kRowWrite;
+    case Opcode::kRowRead: return CommandKind::kRowRead;
+    case Opcode::kDpuAnd:
+    case Opcode::kDpuOr:
+    case Opcode::kDpuPopcount: return CommandKind::kDpuReduce;
+  }
+  return CommandKind::kLatchReset;
+}
+
+/// One decoded instruction, and one captured command (trace.hpp). Unused
+/// fields are zero.
+struct Instruction {
+  Opcode op = Opcode::kAapCopy;
+  std::size_t subarray = 0;  ///< flat sub-array index
+  RowAddr src1 = 0;
+  RowAddr src2 = 0;
+  RowAddr src3 = 0;
+  RowAddr dst = 0;
+  std::size_t size = 1;      ///< row count (consecutive-row expansion)
+  std::size_t width = 0;     ///< DPU reduce width in bits
+  BitVector payload;         ///< ROW_WRITE data (row-sized)
+
+  bool operator==(const Instruction& o) const = default;
+};
+
+/// A program is a flat instruction sequence.
+using Program = std::vector<Instruction>;
 
 /// Latency of one command (ns) under the given timing parameters.
 inline double command_latency_ns(CommandKind k,

@@ -61,7 +61,7 @@ Subarray& Device::subarray(std::size_t flat) {
       subarrays_[flat]->attach_fault_injector(
           std::make_shared<FaultInjector>(fault_model_, flat, geom_));
     if (tracing_) {
-      traces_[flat] = std::make_unique<TraceSink>();
+      traces_[flat] = std::make_unique<TraceSink>(flat);
       subarrays_[flat]->attach_trace(traces_[flat].get());
     }
   }
@@ -111,7 +111,7 @@ void Device::enable_tracing() {
   traces_.resize(subarrays_.size());
   for (std::size_t flat = 0; flat < subarrays_.size(); ++flat) {
     if (!subarrays_[flat]) continue;
-    traces_[flat] = std::make_unique<TraceSink>();
+    traces_[flat] = std::make_unique<TraceSink>(flat);
     subarrays_[flat]->attach_trace(traces_[flat].get());
   }
 }

@@ -116,8 +116,9 @@ class Device {
   /// Per-sub-array command capture for oracle replay: attaches a private
   /// TraceSink to every instantiated and future sub-array. Each sink is
   /// touched only by the channel owning its sub-array, so capture is safe
-  /// under the parallel runtime. isa.hpp's captured_program() turns the
-  /// recorded streams back into a replayable AAP program.
+  /// under the parallel runtime. Each sink already holds its sub-array's
+  /// replayable instructions; isa.hpp's captured_program() concatenates
+  /// them in flat order.
   void enable_tracing();
   /// Detaches and discards every capture sink.
   void disable_tracing();

@@ -1,6 +1,8 @@
 #include "dram/isa.hpp"
 
+#include <algorithm>
 #include <istream>
+#include <iterator>
 #include <sstream>
 
 #include "dram/dpu.hpp"
@@ -149,72 +151,50 @@ Program parse_program(std::istream& in) {
   return program;
 }
 
-Program program_from_trace(const std::vector<TraceEntry>& entries,
-                           std::size_t subarray_flat, std::size_t columns) {
+Program captured_program(const Device& device) {
+  PIMA_CHECK(device.tracing(), "device is not capturing a trace");
+  const std::size_t total = device.geometry().total_subarrays();
+  std::size_t commands = 0;
+  for (std::size_t flat = 0; flat < total; ++flat)
+    if (const TraceSink* sink = device.trace_if(flat)) commands += sink->size();
   Program program;
-  program.reserve(entries.size());
-  for (const auto& e : entries) {
-    Instruction inst;
-    inst.op = e.op;
-    inst.subarray = subarray_flat;
-    inst.size = 1;
-    switch (e.op) {
-      case Opcode::kAapCopy:
-        inst.src1 = e.row_a;
-        inst.dst = e.dst;
-        break;
-      case Opcode::kAapXnor:
-      case Opcode::kAapXor:
-      case Opcode::kSum:
-        inst.src1 = e.row_a;
-        inst.src2 = e.row_b;
-        inst.dst = e.dst;
-        break;
-      case Opcode::kAapTra:
-        inst.src1 = e.row_a;
-        inst.src2 = e.row_b;
-        inst.src3 = e.row_c;
-        inst.dst = e.dst;
-        break;
-      case Opcode::kResetLatch:
-        break;
-      case Opcode::kRowWrite:
-        inst.src1 = e.row_a;
-        inst.payload = e.payload;
-        PIMA_CHECK(inst.payload.size() == columns,
-                   "traced ROW_WRITE payload width does not match geometry");
-        break;
-      case Opcode::kRowRead:
-        inst.src1 = e.row_a;
-        break;
-      case Opcode::kDpuAnd:
-      case Opcode::kDpuOr:
-      case Opcode::kDpuPopcount:
-        // The trace records the DPU fetch, not the reduce flavour/width;
-        // a full-width popcount reproduces the command cost and (like any
-        // reduce) leaves the row state untouched.
-        inst.op = Opcode::kDpuPopcount;
-        inst.src1 = e.row_a;
-        inst.width = columns;
-        break;
-    }
-    program.push_back(std::move(inst));
-  }
+  program.reserve(commands);
+  for (std::size_t flat = 0; flat < total; ++flat)
+    if (const TraceSink* sink = device.trace_if(flat))
+      program.insert(program.end(), sink->program().begin(),
+                     sink->program().end());
   return program;
 }
 
-Program captured_program(const Device& device) {
-  PIMA_CHECK(device.tracing(), "device is not capturing a trace");
-  Program program;
-  const std::size_t total = device.geometry().total_subarrays();
-  for (std::size_t flat = 0; flat < total; ++flat) {
-    const TraceSink* sink = device.trace_if(flat);
-    if (sink == nullptr || sink->entries().empty()) continue;
-    Program part = program_from_trace(sink->entries(), flat,
-                                      device.geometry().columns);
-    program.insert(program.end(), std::make_move_iterator(part.begin()),
-                   std::make_move_iterator(part.end()));
+Program merge_by_flat(std::vector<Program> parts) {
+  if (parts.size() == 1) return std::move(parts.front());
+  // A stable sort of the joined parts on the flat index, done on runs: each
+  // run is one flat's consecutive instructions within a part, and moves
+  // whole.
+  struct Run {
+    std::size_t flat;
+    Program::iterator begin, end;
+  };
+  std::vector<Run> runs;
+  std::size_t commands = 0;
+  for (auto& part : parts) {
+    commands += part.size();
+    for (auto it = part.begin(); it != part.end();) {
+      const std::size_t flat = it->subarray;
+      const auto end = std::find_if(it, part.end(), [&](const Instruction& i) {
+        return i.subarray != flat;
+      });
+      runs.push_back({flat, it, end});
+      it = end;
+    }
   }
+  std::stable_sort(runs.begin(), runs.end(),
+                   [](const Run& a, const Run& b) { return a.flat < b.flat; });
+  Program program;
+  program.reserve(commands);
+  for (const Run& run : runs)
+    program.insert(program.end(), std::make_move_iterator(run.begin),
+                   std::make_move_iterator(run.end));
   return program;
 }
 

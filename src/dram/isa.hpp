@@ -14,11 +14,13 @@
 // size, otherwise the application must pad it with dummy data" — an
 // instruction with size = n expands to n consecutive-row operations.
 //
-// This module gives the command stream a concrete form: an Instruction
-// value type, a tiny assembler/disassembler for a human-readable text
-// format, and an executor that runs programs against a dram::Device. The
-// higher-level kernels drive Subarray directly for speed; the ISA layer is
-// the documented contract (and lets tests replay traces).
+// This module gives the command stream a concrete form: a tiny
+// assembler/disassembler for the Instruction value type (command.hpp) in a
+// human-readable text format, and an executor that runs programs against a
+// dram::Device. The higher-level kernels drive Subarray directly for speed;
+// the ISA layer is the documented contract. A traced sub-array records
+// each command as the Instruction that replays it, so a captured trace is a
+// program as it stands.
 #pragma once
 
 #include <cstdint>
@@ -30,27 +32,6 @@
 #include "dram/device.hpp"
 
 namespace pima::dram {
-
-// Opcode itself lives in command.hpp (next to CommandKind) so the trace
-// layer can record the replay-exact operation without a circular include.
-
-/// One decoded instruction. Unused fields are zero.
-struct Instruction {
-  Opcode op = Opcode::kAapCopy;
-  std::size_t subarray = 0;  ///< flat sub-array index
-  RowAddr src1 = 0;
-  RowAddr src2 = 0;
-  RowAddr src3 = 0;
-  RowAddr dst = 0;
-  std::size_t size = 1;      ///< row count (consecutive-row expansion)
-  std::size_t width = 0;     ///< DPU reduce width in bits
-  BitVector payload;         ///< ROW_WRITE data (row-sized)
-
-  bool operator==(const Instruction& o) const = default;
-};
-
-/// A program is a flat instruction sequence.
-using Program = std::vector<Instruction>;
 
 /// Renders one instruction in the text format, e.g.
 ///   `AAP2_XNOR sa=3 src1=1016 src2=1017 dst=42 size=1`
@@ -79,21 +60,19 @@ ExecutionResults execute(Device& device, const Program& program);
 
 // ---- Trace replay (the oracle's capture path) ----------------------------
 //
-// Any production run executed with Device::enable_tracing() can be turned
-// back into an ISA program and replayed — e.g. through the golden model for
-// differential verification (`pima_asm pim-run --dump-trace` →
+// Any production run executed with Device::enable_tracing() captures its
+// commands as an ISA program that replays them — e.g. through the golden
+// model for differential verification (`pima_asm pim-run --dump-trace` →
 // `pima_fuzz --replay`).
 
-/// Rebuilds a replayable single-sub-array program from a recorded trace.
-/// Every entry maps 1:1 to an instruction (ROW_WRITE keeps its payload,
-/// LATCH_RST round-trips, DPU reductions replay as full-width popcounts —
-/// state- and cost-neutral either way).
-Program program_from_trace(const std::vector<TraceEntry>& entries,
-                           std::size_t subarray_flat, std::size_t columns);
-
-/// Concatenates the replay programs of every traced sub-array in flat-index
+/// A device's capture: every traced sub-array's instructions in flat-index
 /// order. Sub-arrays share no state, so any interleaving that preserves
 /// per-sub-array order is an exact replay; flat order is the canonical one.
 Program captured_program(const Device& device);
+
+/// Merges per-device captures (each in flat order, every flat
+/// owned by one device) into logical flat order: byte-identical to the
+/// captured_program() of one device that ran the same commands.
+Program merge_by_flat(std::vector<Program> parts);
 
 }  // namespace pima::dram

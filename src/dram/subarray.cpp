@@ -15,8 +15,8 @@ RowAddr Subarray::compute_row(std::size_t i) const {
   return geom_.data_rows() + i;
 }
 
-void Subarray::observe(CommandKind k, Opcode op, RowAddr a, RowAddr b,
-                       RowAddr c, RowAddr dst, const BitVector* payload) {
+void Subarray::observe(Opcode op, RowAddr a, RowAddr b, RowAddr c,
+                       RowAddr dst, const BitVector* payload) {
   if (fault_ != nullptr) {
     // Retention process: one tick per executed command, occasionally
     // decaying a stored data-row cell.
@@ -24,31 +24,30 @@ void Subarray::observe(CommandKind k, Opcode op, RowAddr a, RowAddr b,
       rows_[cell->row].set(cell->col, !rows_[cell->row].get(cell->col));
   }
   if (trace_ != nullptr) {
-    TraceEntry e;
-    e.kind = k;
-    e.op = op;
-    e.row_a = a;
-    e.row_b = b;
-    e.row_c = c;
-    e.dst = dst;
-    e.start_ns = cost().busy_ns;
-    e.latency_ns = command_latency_ns(k, tech_.timing);
-    e.energy_pj = command_energy_pj(k, geom_.columns, tech_.energy);
-    if (payload != nullptr) e.payload = *payload;
-    trace_->record(e);
+    // A DPU fetch replays as a full-width popcount: the fetch does not know
+    // the reduce flavour or width, and every reduce has the same cost and
+    // leaves the row state untouched.
+    const bool dpu = kind_of(op) == CommandKind::kDpuReduce;
+    trace_->record({.op = op,
+                    .src1 = a,
+                    .src2 = b,
+                    .src3 = c,
+                    .dst = dst,
+                    .width = dpu ? geom_.columns : 0,
+                    .payload = payload != nullptr ? *payload : BitVector()});
   }
 }
 
 const BitVector& Subarray::read_row(RowAddr r) {
   check_row(r);
-  record(CommandKind::kRowRead, Opcode::kRowRead, r);
+  record(Opcode::kRowRead, r);
   return rows_[r];
 }
 
 void Subarray::write_row(RowAddr r, const BitVector& bits) {
   check_row(r);
   PIMA_CHECK(bits.size() == geom_.columns, "row width mismatch");
-  record(CommandKind::kRowWrite, Opcode::kRowWrite, r, 0, 0, 0, &bits);
+  record(Opcode::kRowWrite, r, 0, 0, 0, &bits);
   rows_[r] = bits;
 }
 
@@ -75,7 +74,7 @@ void Subarray::aap_copy(RowAddr src, RowAddr dst) {
              "AAP copy with src == des aliases the activated row; a "
              "self-copy is a refresh, not a RowClone — issue it explicitly "
              "if that is what the controller means");
-  record(CommandKind::kAapCopy, Opcode::kAapCopy, src, 0, 0, dst);
+  record(Opcode::kAapCopy, src, 0, 0, dst);
   rows_[dst] = rows_[src];
 }
 
@@ -84,7 +83,7 @@ void Subarray::aap_xnor(RowAddr xa, RowAddr xb, RowAddr dst) {
   check_compute(xb, "xnor operand b");
   check_row(dst);
   PIMA_CHECK(xa != xb, "two-row activation needs two distinct rows");
-  record(CommandKind::kAapTwoRow, Opcode::kAapXnor, xa, xb, 0, dst);
+  record(Opcode::kAapXnor, xa, xb, 0, dst);
   rows_[xa].xnor_with(rows_[xb]);
   sense(CommandKind::kAapTwoRow, xa, xb, dst);
 }
@@ -94,7 +93,7 @@ void Subarray::aap_xor(RowAddr xa, RowAddr xb, RowAddr dst) {
   check_compute(xb, "xor operand b");
   check_row(dst);
   PIMA_CHECK(xa != xb, "two-row activation needs two distinct rows");
-  record(CommandKind::kAapTwoRow, Opcode::kAapXor, xa, xb, 0, dst);
+  record(Opcode::kAapXor, xa, xb, 0, dst);
   rows_[xa].xor_with(rows_[xb]);
   sense(CommandKind::kAapTwoRow, xa, xb, dst);
 }
@@ -106,7 +105,7 @@ void Subarray::aap_tra_carry(RowAddr xa, RowAddr xb, RowAddr xc, RowAddr dst) {
   check_row(dst);
   PIMA_CHECK(xa != xb && xb != xc && xa != xc,
              "TRA needs three distinct rows");
-  record(CommandKind::kAapTra, Opcode::kAapTra, xa, xb, xc, dst);
+  record(Opcode::kAapTra, xa, xb, xc, dst);
   rows_[xa].maj3_with(rows_[xb], rows_[xc]);
   if (fault_ != nullptr)
     fault_->corrupt_activation(CommandKind::kAapTra, {xa, xb, xc}, rows_[xa]);
@@ -123,7 +122,7 @@ void Subarray::sum_cycle(RowAddr xa, RowAddr xb, RowAddr dst) {
   check_compute(xb, "sum operand b");
   check_row(dst);
   PIMA_CHECK(xa != xb, "two-row activation needs two distinct rows");
-  record(CommandKind::kSumCycle, Opcode::kSum, xa, xb, 0, dst);
+  record(Opcode::kSum, xa, xb, 0, dst);
   rows_[xa].xor_with(rows_[xb]).xor_with(latch_);
   sense(CommandKind::kSumCycle, xa, xb, dst);
 }
@@ -140,20 +139,18 @@ void Subarray::sense(CommandKind k, RowAddr xa, RowAddr xb, RowAddr dst) {
 
 void Subarray::reset_latch() {
   // Uncosted (no CommandStats record), but replay-relevant: without the
-  // LATCH_RST entry a replayed sum cycle could consume a stale carry.
+  // RST_LATCH instruction a replayed sum cycle could consume a stale carry.
   if (trace_ != nullptr) {
-    TraceEntry e;
-    e.kind = CommandKind::kLatchReset;
-    e.op = Opcode::kResetLatch;
-    e.start_ns = cost().busy_ns;
-    trace_->record(e);
+    Instruction rst;
+    rst.op = Opcode::kResetLatch;
+    trace_->record(std::move(rst));
   }
   latch_.fill(false);
 }
 
 const BitVector& Subarray::dpu_fetch(RowAddr r) {
   check_row(r);
-  record(CommandKind::kDpuReduce, Opcode::kDpuPopcount, r);
+  record(Opcode::kDpuPopcount, r);
   return rows_[r];
 }
 

@@ -23,8 +23,9 @@
 // for TRA): with no trace sink attached, no command allocates.
 //
 // Every operation counts one command of its kind into CommandStats; its
-// latency and energy are derived from the counts (command_cost), and are
-// computed per command only for an attached trace sink.
+// latency and energy are derived from the counts (command_cost). An
+// attached trace sink also receives the command as a replayable
+// Instruction.
 //
 // compress_bit is a μop in SIMDRAM's sense: the fixed 9-command sequence of
 // one carry-save bit step, issued as one unit. When nothing observes the
@@ -142,7 +143,7 @@ class Subarray {
 
   /// Clears the carry latch (Rst signal in Fig. 2a). Uncosted (the pulse
   /// rides the surrounding AAP envelope) but recorded in the trace as a
-  /// LATCH_RST entry so replays reproduce the latch state exactly.
+  /// RST_LATCH instruction so replays reproduce the latch state exactly.
   void reset_latch();
 
   /// Records one DPU reduction (row read into the GRB + combinational
@@ -199,7 +200,8 @@ class Subarray {
   void clear_stats() { stats_ = CommandStats{}; }
 
   /// Attaches a trace sink; every subsequent command is recorded into it
-  /// (nullptr detaches). The sink must outlive the sub-array's use.
+  /// as an Instruction (nullptr detaches). The sink must outlive the
+  /// sub-array's use.
   void attach_trace(TraceSink* sink) { trace_ = sink; }
 
  private:
@@ -216,17 +218,16 @@ class Subarray {
   // in place into xa: applies sensing faults to it and restores it into xb
   // and dst.
   void sense(CommandKind k, RowAddr xa, RowAddr xb, RowAddr dst);
-  // Counts one command of kind k; with a fault injector or trace sink
-  // attached, first runs the retention tick and records the trace entry.
-  void record(CommandKind k, Opcode op, RowAddr a = 0, RowAddr b = 0,
-              RowAddr c = 0, RowAddr dst = 0,
-              const BitVector* payload = nullptr) {
+  // Counts one command of kind_of(op); with a fault injector or trace sink
+  // attached, first runs the retention tick and records the instruction.
+  void record(Opcode op, RowAddr a = 0, RowAddr b = 0, RowAddr c = 0,
+              RowAddr dst = 0, const BitVector* payload = nullptr) {
     if (fault_ != nullptr || trace_ != nullptr)
-      observe(k, op, a, b, c, dst, payload);
-    ++stats_.counts[static_cast<std::size_t>(k)];
+      observe(op, a, b, c, dst, payload);
+    ++stats_.counts[static_cast<std::size_t>(kind_of(op))];
   }
-  void observe(CommandKind k, Opcode op, RowAddr a, RowAddr b, RowAddr c,
-               RowAddr dst, const BitVector* payload);
+  void observe(Opcode op, RowAddr a, RowAddr b, RowAddr c, RowAddr dst,
+               const BitVector* payload);
 
   Geometry geom_;
   circuit::Technology tech_;

@@ -1,67 +1,41 @@
-// Command tracing and energy breakdown.
+// Command capture and energy breakdown.
 //
-// A TraceSink attached to a sub-array records every command it executes
-// (kind, rows, start time) — the raw material for waveform-style debugging,
-// replay through the ISA layer, and the per-command-kind energy breakdown
-// tables the architecture evaluation wants. Tracing is opt-in and costs
-// nothing when disabled.
+// A TraceSink attached to a sub-array records every command it executes as
+// the Instruction that replays it (isa.hpp), in issue order: the captured
+// program is the trace itself. Capture is opt-in and costs nothing when
+// disabled.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/bitvector.hpp"
 #include "dram/command.hpp"
-#include "dram/geometry.hpp"
 
 namespace pima::dram {
 
-/// One traced command. `kind` is the cost class; `op` is the replay-exact
-/// opcode (kAapTwoRow is XNOR or XOR depending on the MUX — the trace keeps
-/// the distinction so a recorded run can be replayed bit-exactly).
-struct TraceEntry {
-  CommandKind kind;
-  Opcode op = Opcode::kAapCopy;  ///< replay-precise operation
-  RowAddr row_a = 0;       ///< first source row (or the addressed row)
-  RowAddr row_b = 0;       ///< second source (multi-row ops), else 0
-  RowAddr row_c = 0;       ///< third source (TRA), else 0
-  RowAddr dst = 0;         ///< destination row, else 0
-  double start_ns = 0.0;   ///< sub-array-local issue time
-  double latency_ns = 0.0;
-  double energy_pj = 0.0;
-  BitVector payload;       ///< ROW_WRITE data (empty otherwise)
-};
-
-/// Append-only trace buffer shared by the sub-arrays it is attached to.
+/// Append-only capture of one sub-array's command stream.
 class TraceSink {
  public:
-  void record(const TraceEntry& e) { entries_.push_back(e); }
+  /// `subarray` is the flat index every recorded instruction carries.
+  explicit TraceSink(std::size_t subarray = 0) : subarray_(subarray) {}
 
-  const std::vector<TraceEntry>& entries() const { return entries_; }
-  std::size_t size() const { return entries_.size(); }
-  void clear() { entries_.clear(); }
+  void record(Instruction inst) {
+    inst.subarray = subarray_;
+    program_.push_back(std::move(inst));
+  }
 
-  /// The CSV column order — part of the format contract.
-  static constexpr const char* kCsvHeader =
-      "kind,row_a,row_b,row_c,dst,start_ns,latency_ns,energy_pj";
-
-  /// CSV rendering in kCsvHeader column order; floats at fixed %.6f
-  /// precision, so the output is byte-stable and parse_csv() round-trips
-  /// it exactly at that granularity.
-  std::string to_csv() const;
-
-  /// Parses a to_csv() rendering back into entries. The CSV does not carry
-  /// `op` or `payload`, so those fields come back defaulted; everything
-  /// else round-trips exactly. Throws InputFormatError on a malformed row
-  /// or header.
-  static std::vector<TraceEntry> parse_csv(const std::string& csv);
+  const Program& program() const { return program_; }
+  std::size_t size() const { return program_.size(); }
+  void clear() { program_.clear(); }
 
  private:
-  std::vector<TraceEntry> entries_;
+  std::size_t subarray_;
+  Program program_;
 };
 
-/// Aggregated per-command-kind totals over a trace (or a CommandStats).
+/// Aggregated per-command-kind totals of a CommandStats.
 struct EnergyBreakdown {
   struct Row {
     CommandKind kind;
@@ -77,9 +51,7 @@ struct EnergyBreakdown {
   std::string render(const std::string& title) const;
 };
 
-EnergyBreakdown breakdown_from_trace(const std::vector<TraceEntry>& trace);
-
-/// Breakdown from accumulated CommandStats (no trace needed): each row is
+/// Breakdown from accumulated CommandStats: each row is
 /// command_cost() of one kind, and total_energy_pj equals
 /// command_cost(stats).energy_pj bit for bit (waits are not commands, so
 /// total_time_ns leaves them out).

@@ -62,8 +62,9 @@ struct EngineOptions {
   std::size_t program_chunk = 512;
   /// Enables per-sub-array command capture on the device before any worker
   /// starts (Device::enable_tracing). Each sub-array's TraceSink is touched
-  /// only by the channel owning it, so capture is race-free; the recorded
-  /// streams replay through dram::captured_program() for the differential
+  /// only by the channel owning it, so capture is race-free; each sink
+  /// records its sub-array's replayable instructions, which
+  /// dram::captured_program() walks in flat order for the differential
   /// oracle.
   bool capture_trace = false;
   /// Per-task deadline enforced by the watchdog thread: a worker that

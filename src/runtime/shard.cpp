@@ -1,7 +1,6 @@
 #include "runtime/shard.hpp"
 
 #include <exception>
-#include <iterator>
 
 #include "common/error.hpp"
 
@@ -73,19 +72,11 @@ void DevicePool::enable_faults(const dram::FaultConfig& config) {
 }
 
 dram::Program DevicePool::captured_program() const {
-  dram::Program program;
-  const std::size_t total = total_subarrays();
-  for (std::size_t flat = 0; flat < total; ++flat) {
-    const dram::Device& owner = device(owner_of(flat));
-    PIMA_CHECK(owner.tracing(), "pool device is not capturing a trace");
-    const dram::TraceSink* sink = owner.trace_if(flat);
-    if (sink == nullptr || sink->entries().empty()) continue;
-    dram::Program part = dram::program_from_trace(sink->entries(), flat,
-                                                  geometry().columns);
-    program.insert(program.end(), std::make_move_iterator(part.begin()),
-                   std::make_move_iterator(part.end()));
-  }
-  return program;
+  std::vector<dram::Program> parts;
+  parts.reserve(size());
+  for (std::size_t d = 0; d < size(); ++d)
+    parts.push_back(dram::captured_program(device(d)));
+  return dram::merge_by_flat(std::move(parts));
 }
 
 void DevicePool::enable_tracing() {

@@ -23,7 +23,9 @@
 //     array busy times (dram::StatsFold), so summing per device gives the
 //     single-device roll-up bit for bit; roll-ups, Prometheus model
 //     snapshots and checkpoints are bitwise equal to the single-device run.
-//     Only the trace capture (captured_program) walks logical flat order.
+//     Only the trace capture (captured_program) has an order to restore:
+//     every captured instruction carries its flat index, and
+//     dram::merge_by_flat sorts the per-device captures on it.
 #pragma once
 
 #include <algorithm>
@@ -112,10 +114,10 @@ class DevicePool {
   void enable_tracing();
   void disable_tracing();
 
-  /// Replayable capture of every traced command, merged across the pool in
-  /// logical flat order — byte-identical to dram::captured_program() of a
-  /// single-device run of the same commands. Requires tracing enabled
-  /// (every pool device) before the commands ran.
+  /// Replayable capture of every traced command: each device's
+  /// dram::captured_program() joined by dram::merge_by_flat — byte-identical
+  /// to the capture of a single-device run of the same commands. Requires
+  /// tracing enabled (every pool device) before the commands ran.
   dram::Program captured_program() const;
 
  private:

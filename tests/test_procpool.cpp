@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -619,6 +620,68 @@ TEST(ProcPoolWire, TransposedKernelMatchesDirectColumnSums) {
   for (std::size_t i = 0; i < dram::kCommandKindCount; ++i)
     EXPECT_EQ(got.counts[i], want.counts[i]) << "kind " << i;
   EXPECT_EQ(got.wait_ns, want.wait_ns);
+}
+
+TEST(ProcPoolWire, TracePagesReassembleToTheUnpagedCapture) {
+  // A worker's capture: two degree kernels on two sub-arrays, traced.
+  core::WorkerInit init = small_worker_init();
+  init.capture_trace = true;
+  core::EdgeBlock block;
+  block.source_interval = 0;
+  block.dest_interval = 1;
+  block.edges = {{0, 2, 1}, {1, 2, 3}, {4, 0, 2}, {3, 3, 1}};
+  const std::vector<core::DegreeKernel> kernels = {
+      {9, &block, /*transposed=*/true, 4}, {17, &block, false, 5}};
+  core::ShardWorkerCore worker(core::worker_init_to_json(init));
+  (void)worker.handle(core::degree_block_request(kernels));
+  (void)worker.handle(core::verb_request("drain"));
+
+  // The unpaged walk of the same commands on a local device.
+  dram::Device direct(init.geometry, init.technology);
+  direct.enable_tracing();
+  for (const core::DegreeKernel& kernel : kernels)
+    (void)core::pim_column_sums(direct.subarray(kernel.flat),
+                                kernel.rows(init.geometry.columns));
+  const dram::Program capture = dram::captured_program(direct);
+  ASSERT_GT(capture.size(), 100u);
+
+  // The verb at its fixed budget returns the whole small capture at once.
+  const net::Json one = worker.handle(net::Json::parse(
+      "{\"op\":\"trace\",\"cursor\":0}"));
+  EXPECT_TRUE(one.get_bool("done"));
+  EXPECT_EQ(one.get_uint64("next"), capture.size());
+  EXPECT_EQ(core::fetch_trace([&](const net::Json& request) {
+              return worker.handle(request);
+            }),
+            capture);
+
+  // Pages of a few hundred bytes: many pages, each within the budget
+  // unless it holds a single instruction.
+  constexpr std::size_t kBudget = 300;
+  std::vector<dram::Program> pages;
+  const dram::Program paged =
+      core::fetch_trace([&](const net::Json& request) {
+        net::Json page = core::trace_page(
+            capture, static_cast<std::size_t>(request.get_uint64("cursor")),
+            kBudget);
+        const std::string text = page.get_string("text");
+        std::istringstream in(text);
+        pages.push_back(dram::parse_program(in));
+        if (pages.back().size() > 1) {
+          EXPECT_LE(text.size(), kBudget);
+        }
+        return page;
+      });
+  EXPECT_EQ(paged, capture);
+  EXPECT_GT(pages.size(), 20u);
+  // Some page boundary falls inside one sub-array's stream.
+  bool split_stream = false;
+  for (std::size_t i = 1; i < pages.size(); ++i)
+    split_stream = split_stream ||
+                   pages[i - 1].back().subarray == pages[i].front().subarray;
+  EXPECT_TRUE(split_stream);
+  EXPECT_THROW((void)core::trace_page(capture, capture.size() + 1, kBudget),
+               InputFormatError);
 }
 
 TEST(ProcPoolExchange, RpcAllTypedErrorReadsEveryResponse) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/error.hpp"
 #include "dram/isa.hpp"
 #include "dram/subarray.hpp"
 
@@ -25,26 +24,30 @@ TEST(Trace, RecordsEveryCommandInOrder) {
   sa.aap_copy(1, 2);
   sa.compare_rows(1, 2, 10);
   ASSERT_EQ(sink.size(), 5u);  // write, copy, 2 staging copies, xnor
-  EXPECT_EQ(sink.entries()[0].kind, CommandKind::kRowWrite);
-  EXPECT_EQ(sink.entries()[1].kind, CommandKind::kAapCopy);
-  EXPECT_EQ(sink.entries()[1].row_a, 1u);
-  EXPECT_EQ(sink.entries()[1].dst, 2u);
-  EXPECT_EQ(sink.entries()[4].kind, CommandKind::kAapTwoRow);
-  EXPECT_EQ(sink.entries()[4].dst, 10u);
+  const Program& p = sink.program();
+  EXPECT_EQ(p[0].op, Opcode::kRowWrite);
+  EXPECT_EQ(p[1].op, Opcode::kAapCopy);
+  EXPECT_EQ(p[1].src1, 1u);
+  EXPECT_EQ(p[1].dst, 2u);
+  EXPECT_EQ(kind_of(p[4].op), CommandKind::kAapTwoRow);
+  EXPECT_EQ(p[4].dst, 10u);
 }
 
-TEST(Trace, TimestampsAreMonotone) {
+TEST(Trace, InstructionsCarryTheSinkFlatIndex) {
   Subarray sa(tiny(), circuit::default_technology());
-  TraceSink sink;
+  TraceSink sink(7);
   sa.attach_trace(&sink);
-  for (int i = 0; i < 5; ++i) sa.aap_copy(0, 1);
-  double prev = -1.0;
-  for (const auto& e : sink.entries()) {
-    EXPECT_GT(e.start_ns, prev);
-    EXPECT_GT(e.latency_ns, 0.0);
-    EXPECT_GT(e.energy_pj, 0.0);
-    prev = e.start_ns;
+  sa.aap_copy(0, 1);
+  (void)sa.dpu_fetch(1);
+  ASSERT_EQ(sink.size(), 2u);
+  for (const auto& inst : sink.program()) {
+    EXPECT_EQ(inst.subarray, 7u);
+    EXPECT_EQ(inst.size, 1u);
   }
+  // A DPU fetch replays as a full-width popcount of the fetched row.
+  EXPECT_EQ(sink.program()[1].op, Opcode::kDpuPopcount);
+  EXPECT_EQ(sink.program()[1].src1, 1u);
+  EXPECT_EQ(sink.program()[1].width, tiny().columns);
 }
 
 TEST(Trace, DetachStopsRecording) {
@@ -59,93 +62,24 @@ TEST(Trace, DetachStopsRecording) {
   EXPECT_EQ(sink.size(), 0u);
 }
 
-TEST(Trace, CsvHasHeaderAndRows) {
-  Subarray sa(tiny(), circuit::default_technology());
-  TraceSink sink;
-  sa.attach_trace(&sink);
-  sa.aap_copy(3, 7);
-  const auto csv = sink.to_csv();
-  EXPECT_NE(csv.find("kind,row_a"), std::string::npos);
-  EXPECT_NE(csv.find("AAP_COPY,3,0,0,7"), std::string::npos);
-}
-
-TEST(Trace, CsvRoundTripsExactly) {
-  Subarray sa(tiny(), circuit::default_technology());
-  TraceSink sink;
-  sa.attach_trace(&sink);
-  BitVector bits(32);
-  bits.set(7, true);
-  sa.write_row(1, bits);
-  sa.aap_copy(1, 2);
-  sa.compare_rows(1, 2, 10);
-  sa.aap_tra_carry(sa.compute_row(0), sa.compute_row(1), sa.compute_row(2), 3);
-  const auto csv = sink.to_csv();
-  const auto parsed = TraceSink::parse_csv(csv);
-  ASSERT_EQ(parsed.size(), sink.size());
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    const auto& a = sink.entries()[i];
-    const auto& b = parsed[i];
-    EXPECT_EQ(a.kind, b.kind) << "entry " << i;
-    EXPECT_EQ(a.row_a, b.row_a);
-    EXPECT_EQ(a.row_b, b.row_b);
-    EXPECT_EQ(a.row_c, b.row_c);
-    EXPECT_EQ(a.dst, b.dst);
-    // %.6f fixes the granularity; the model's values are exact at ns/fJ
-    // scale, so the round trip is equality, not approximation.
-    EXPECT_DOUBLE_EQ(a.start_ns, b.start_ns);
-    EXPECT_DOUBLE_EQ(a.latency_ns, b.latency_ns);
-    EXPECT_DOUBLE_EQ(a.energy_pj, b.energy_pj);
-  }
-  // Re-serializing the parsed entries is byte-identical (op/payload are
-  // not part of the CSV contract).
-  TraceSink again;
-  for (const auto& e : parsed) again.record(e);
-  EXPECT_EQ(again.to_csv(), csv);
-}
-
-TEST(Trace, CsvParseRejectsMalformedInput) {
-  EXPECT_THROW(TraceSink::parse_csv("not,a,trace\n"), InputFormatError);
-  std::string csv(TraceSink::kCsvHeader);
-  csv += "\nNO_SUCH_KIND,0,0,0,0,1.0,1.0,1.0\n";
-  EXPECT_THROW(TraceSink::parse_csv(csv), InputFormatError);
-  std::string truncated(TraceSink::kCsvHeader);
-  truncated += "\nAAP_COPY,3,0\n";
-  EXPECT_THROW(TraceSink::parse_csv(truncated), InputFormatError);
-}
-
-TEST(Trace, BreakdownFromTraceAggregates) {
-  Subarray sa(tiny(), circuit::default_technology());
-  TraceSink sink;
-  sa.attach_trace(&sink);
-  sa.aap_copy(0, 1);
-  sa.aap_copy(1, 2);
-  sa.write_row(3, BitVector(32));
-  const auto b = breakdown_from_trace(sink.entries());
-  ASSERT_EQ(b.rows.size(), 2u);  // copies and writes
-  double total = 0.0;
-  for (const auto& row : b.rows) {
-    EXPECT_GT(row.count, 0u);
-    total += row.energy_pj;
-  }
-  EXPECT_DOUBLE_EQ(total, b.total_energy_pj);
-  EXPECT_DOUBLE_EQ(b.total_energy_pj, sa.cost().energy_pj);
-  EXPECT_DOUBLE_EQ(b.total_time_ns, sa.cost().busy_ns);
-}
-
 TEST(Trace, BreakdownFromStatsMatchesTrace) {
   Subarray sa(tiny(), circuit::default_technology());
   TraceSink sink;
   sa.attach_trace(&sink);
   sa.compare_rows(0, 1, 10);
   sa.write_row(5, BitVector(32));
-  const auto from_trace = breakdown_from_trace(sink.entries());
+  CommandStats traced;
+  for (const auto& inst : sink.program())
+    ++traced.counts[static_cast<std::size_t>(kind_of(inst.op))];
+  EXPECT_EQ(traced, sa.stats());
   const auto from_stats = breakdown_from_stats(
       sa.stats(), sa.geometry().columns, circuit::default_technology());
-  EXPECT_DOUBLE_EQ(from_trace.total_energy_pj, from_stats.total_energy_pj);
-  EXPECT_DOUBLE_EQ(from_trace.total_time_ns, from_stats.total_time_ns);
-  EXPECT_EQ(from_trace.rows.size(), from_stats.rows.size());
+  ASSERT_EQ(from_stats.rows.size(), 3u);  // copies, XNOR, write
+  for (const auto& row : from_stats.rows)
+    EXPECT_EQ(row.count, traced.counts[static_cast<std::size_t>(row.kind)]);
+  EXPECT_DOUBLE_EQ(from_stats.total_energy_pj, sa.cost().energy_pj);
+  EXPECT_DOUBLE_EQ(from_stats.total_time_ns, sa.cost().busy_ns);
 }
-
 TEST(Trace, EntriesCarryReplayExactOpcodes) {
   // XNOR and XOR share CommandKind::kAapTwoRow (same cost class) but must
   // stay distinguishable in the trace for exact replay.
@@ -156,10 +90,10 @@ TEST(Trace, EntriesCarryReplayExactOpcodes) {
   sa.aap_xnor(x1, x2, 5);
   sa.aap_xor(x1, x2, 6);
   ASSERT_EQ(sink.size(), 2u);
-  EXPECT_EQ(sink.entries()[0].kind, CommandKind::kAapTwoRow);
-  EXPECT_EQ(sink.entries()[1].kind, CommandKind::kAapTwoRow);
-  EXPECT_EQ(sink.entries()[0].op, Opcode::kAapXnor);
-  EXPECT_EQ(sink.entries()[1].op, Opcode::kAapXor);
+  EXPECT_EQ(kind_of(sink.program()[0].op), CommandKind::kAapTwoRow);
+  EXPECT_EQ(kind_of(sink.program()[1].op), CommandKind::kAapTwoRow);
+  EXPECT_EQ(sink.program()[0].op, Opcode::kAapXnor);
+  EXPECT_EQ(sink.program()[1].op, Opcode::kAapXor);
 }
 
 TEST(Trace, LatchResetIsTraceOnlyAndUncosted) {
@@ -168,10 +102,8 @@ TEST(Trace, LatchResetIsTraceOnlyAndUncosted) {
   sa.attach_trace(&sink);
   sa.reset_latch();
   ASSERT_EQ(sink.size(), 1u);
-  EXPECT_EQ(sink.entries()[0].kind, CommandKind::kLatchReset);
-  EXPECT_EQ(sink.entries()[0].op, Opcode::kResetLatch);
-  EXPECT_DOUBLE_EQ(sink.entries()[0].latency_ns, 0.0);
-  EXPECT_DOUBLE_EQ(sink.entries()[0].energy_pj, 0.0);
+  EXPECT_EQ(sink.program()[0].op, Opcode::kResetLatch);
+  EXPECT_EQ(kind_of(sink.program()[0].op), CommandKind::kLatchReset);
   // The Rst pulse rides the surrounding AAP envelope: no command counted,
   // no time, no energy.
   EXPECT_EQ(sa.stats().total_commands(), 0u);
@@ -188,8 +120,8 @@ TEST(Trace, RowWritePayloadIsCaptured) {
   sa.write_row(4, bits);
   sa.aap_copy(4, 5);
   ASSERT_EQ(sink.size(), 2u);
-  EXPECT_EQ(sink.entries()[0].payload, bits);
-  EXPECT_TRUE(sink.entries()[1].payload.empty());  // only writes carry data
+  EXPECT_EQ(sink.program()[0].payload, bits);
+  EXPECT_TRUE(sink.program()[1].payload.empty());  // only writes carry data
 }
 
 TEST(Trace, ProgramFromTraceReplaysIdenticalState) {
@@ -208,8 +140,7 @@ TEST(Trace, ProgramFromTraceReplaysIdenticalState) {
   sa.reset_latch();
   (void)sa.read_row(3);
 
-  const auto program = program_from_trace(sink.entries(), 0, g.columns);
-  ASSERT_EQ(program.size(), sink.size());
+  const Program& program = sink.program();
   Device replay(g);
   execute(replay, program);
   auto& rsa = replay.subarray(std::size_t{0});
@@ -223,7 +154,9 @@ TEST(Trace, RenderContainsShares) {
   TraceSink sink;
   sa.attach_trace(&sink);
   sa.aap_copy(0, 1);
-  const auto text = breakdown_from_trace(sink.entries()).render("demo");
+  const auto text = breakdown_from_stats(sa.stats(), sa.geometry().columns,
+                                         circuit::default_technology())
+                        .render("demo");
   EXPECT_NE(text.find("AAP_COPY"), std::string::npos);
   EXPECT_NE(text.find("100%"), std::string::npos);
 }
